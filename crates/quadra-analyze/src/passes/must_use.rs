@@ -4,7 +4,7 @@
 //!
 //! - **missing-attr** — a `pub struct` returned by value from a fully-`pub`
 //!   function must carry `#[must_use]`: silently dropping a client, builder,
-//!   or server handle either leaks a resource or (for `InferenceServer`)
+//!   or server handle either leaks a resource or (for `Router`)
 //!   shuts it down on the spot.
 //! - **let-underscore** — `let _ = ...` explicitly discards a value; each
 //!   site must carry a suppression stating why the discard is sound

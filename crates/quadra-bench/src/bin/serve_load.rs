@@ -35,9 +35,7 @@
 use quadra_bench::{print_table, scale, Scale};
 use quadra_core::{build_model, ModelConfig};
 use quadra_models::{mobilenet_v1_config, resnet20_config};
-use quadra_serve::{
-    AdmissionPolicy, BatchPolicy, InferenceServer, Priority, Request, Router, ServeConfig, ServeError,
-};
+use quadra_serve::{AdmissionPolicy, BatchPolicy, Priority, Request, Router, ServeConfig, ServeError};
 use quadra_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -151,28 +149,32 @@ fn closed_loop(
 ) -> quadra_serve::ServeMetrics {
     let (channels, image) = (config.input_channels, config.image_size);
     let model_config = config.clone();
-    let server = InferenceServer::start(
-        ServeConfig {
-            workers,
-            policy: BatchPolicy {
-                max_batch_size: max_batch,
-                max_wait: Duration::from_millis(1),
-                ..BatchPolicy::default()
+    const MODEL: &str = "model";
+    let router = Router::builder()
+        .endpoint(
+            MODEL,
+            ServeConfig {
+                workers,
+                policy: BatchPolicy {
+                    max_batch_size: max_batch,
+                    max_wait: Duration::from_millis(1),
+                    ..BatchPolicy::default()
+                },
+                ..ServeConfig::default()
             },
-            ..ServeConfig::default()
-        },
-        move || Box::new(build_model(&model_config, &mut StdRng::seed_from_u64(11))),
-    )
-    .expect("server starts");
+            move || Box::new(build_model(&model_config, &mut StdRng::seed_from_u64(11))),
+        )
+        .start()
+        .expect("router starts");
 
     let handles: Vec<_> = (0..clients)
         .map(|c| {
-            let client = server.client();
+            let client = router.client();
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(100 + c as u64);
                 let x = Tensor::randn(&[1, channels, image, image], 0.0, 1.0, &mut rng);
                 for _ in 0..requests_per_client {
-                    let response = client.infer(x.clone()).expect("request served");
+                    let response = client.infer(MODEL, x.clone()).expect("request served");
                     assert_eq!(response.output.shape()[0], 1);
                 }
             })
@@ -181,7 +183,7 @@ fn closed_loop(
     for h in handles {
         h.join().unwrap();
     }
-    server.shutdown()
+    router.shutdown().models.remove(0)
 }
 
 /// Endpoint description of the overload fleet. Batch size, shed-queue depth

@@ -1,13 +1,14 @@
-//! The event loop: one thread multiplexing every connection.
+//! The event loop: the gateway's one thread, multiplexing every connection.
 //!
 //! Single-threaded readiness dispatch over the [`Poller`](crate::sys): the
-//! listener, the pump's waker fd, and every connection socket are registered
-//! under integer tokens; each wait returns the ready set and the loop
-//! reads/writes until `WouldBlock`. Inference never runs here — requests are
-//! forwarded to [`RouterClient::send`] (a bounded-queue handoff) and
-//! completions come back through the
-//! [`CompletionPump`](crate::pump::CompletionPump)'s waker, so the loop's
-//! per-event work is bounded by codec throughput.
+//! listener, the waker fd, and every connection socket are registered under
+//! integer tokens; each wait returns the ready set and the loop reads/writes
+//! until `WouldBlock`. Inference never runs here — requests are forwarded to
+//! [`RouterClient::send_to`] (a bounded-queue handoff); the engine thread
+//! that settles one pushes the result onto the loop's [`CompletionQueue`]
+//! and pokes the [`Waker`](crate::sys::Waker), and the loop takes the queue
+//! after every wake. Its per-event work is bounded by codec throughput and
+//! nothing ever polls for a result.
 //!
 //! ## Backpressure
 //!
@@ -28,17 +29,20 @@
 //! (3) answers any further requests with [`ServeError::ShuttingDown`] error
 //! frames while continuing to flush in-flight responses, and (4) exits once
 //! nothing is outstanding and every outbound buffer is empty — or the
-//! [`GatewayConfig::drain_timeout`] expires. Only after the loop exits may
-//! [`Router::shutdown`](quadra_serve::Router::shutdown) run; see
-//! [`Gateway::shutdown`](crate::Gateway::shutdown) for the ordering
+//! [`GatewayConfig::drain_timeout`] expires. Every change to that condition
+//! (a completion, flush progress, a close) arrives as a poller event, so the
+//! drain is one wait bounded by the time left, not a poll. Only after the
+//! loop exits may [`Router::shutdown`](quadra_serve::Router::shutdown) run;
+//! see [`Gateway::shutdown`](crate::Gateway::shutdown) for the ordering
 //! contract.
 
 use crate::config::GatewayConfig;
 use crate::conn::{ConnError, Connection};
-use crate::frame::{error_frame, BackpressureFrame, ErrorFrame, Frame, ResponseFrame, PROTOCOL_ERROR_CODE};
-use crate::pump::CompletionPump;
+use crate::frame::{
+    error_frame, BackpressureFrame, ErrorFrame, Frame, FrameError, ResponseFrame, PROTOCOL_ERROR_CODE,
+};
 use crate::sys::{self, Event, Poller, Waker};
-use quadra_serve::{Request, RouterClient, ServeError};
+use quadra_serve::{CompletionQueue, Request, RouterClient, ServeError};
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpListener;
@@ -49,10 +53,6 @@ use std::time::{Duration, Instant};
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
-
-/// Poll cadence while draining: short, so the quiesce condition is
-/// re-checked promptly even with no socket activity.
-const DRAIN_TICK: Duration = Duration::from_millis(2);
 
 /// One multiplexed connection and its registration state.
 struct Conn {
@@ -83,6 +83,20 @@ impl Conn {
     }
 }
 
+/// The loop's side of the serving engine.
+struct Engine {
+    client: RouterClient,
+    /// Where engine threads push settled requests (and then wake the loop).
+    completions: Arc<CompletionQueue>,
+    /// `(connection token, wire correlation id)` of every admitted and
+    /// unanswered request, by completion key. Only the loop touches it: an
+    /// entry is added on admit and removed when its completion is taken —
+    /// even if the connection closed first — so its length is the drain
+    /// condition's outstanding count.
+    inflight: HashMap<u64, (u64, u64)>,
+    next_key: u64,
+}
+
 /// Run the loop until `stop` is observed and the drain completes. Called on
 /// the dedicated `gateway-loop` thread; returns only on fatal poller errors
 /// or clean shutdown.
@@ -94,21 +108,26 @@ pub(crate) fn run(
     stop: Arc<AtomicBool>,
     waker: Arc<Waker>,
 ) -> io::Result<()> {
-    let pump = CompletionPump::start(Arc::clone(&waker));
     let lfd = sys::listener_fd(&listener);
     poller.register(lfd, TOKEN_LISTENER, true, false)?;
     poller.register(waker.read_fd(), TOKEN_WAKER, true, false)?;
 
+    let wake = Arc::clone(&waker);
+    let mut engine = Engine {
+        client,
+        completions: CompletionQueue::new(move || wake.notify()),
+        inflight: HashMap::with_capacity(1024),
+        next_key: 0,
+    };
     let mut conns: HashMap<u64, Conn> = HashMap::with_capacity(64);
     let mut next_token = FIRST_CONN_TOKEN;
     let mut events: Vec<Event> = Vec::with_capacity(256);
     let mut draining = false;
-    let mut listener_registered = true;
     let mut drain_deadline = Instant::now();
 
     loop {
         events.clear();
-        let timeout = if draining { Some(DRAIN_TICK) } else { None };
+        let timeout = draining.then(|| drain_deadline.saturating_duration_since(Instant::now()));
         poller.wait(timeout, &mut events)?;
 
         for i in 0..events.len() {
@@ -121,7 +140,7 @@ pub(crate) fn run(
                 token => {
                     let keep = match conns.get_mut(&token) {
                         Some(conn) => {
-                            on_conn_event(&cfg, &mut poller, &pump, &client, conn, token, ev, draining)
+                            on_conn_event(&cfg, &mut poller, &mut engine, conn, token, ev, draining)
                         }
                         None => true, // already closed this sweep
                     };
@@ -132,32 +151,28 @@ pub(crate) fn run(
             }
         }
 
-        deliver_completions(&cfg, &mut poller, &pump, &mut conns);
+        // After every wake, not only the waker's: a notify that raced
+        // `Waker::drain` leaves no fd event behind, only its queue entry.
+        deliver_completions(&cfg, &mut poller, &mut engine, &mut conns);
 
-        if stop.load(Ordering::Acquire) && !draining {
-            draining = true;
-            drain_deadline = Instant::now() + cfg.drain_timeout;
-            if listener_registered {
-                let _ = poller.deregister(lfd);
-                listener_registered = false;
-            }
-            broadcast_goaway(&cfg, &mut poller, &mut conns);
-        }
         if draining {
-            let quiesced = pump.outstanding() == 0 && conns.values().all(|c| !c.link.wants_write());
+            let quiesced = engine.inflight.is_empty() && conns.values().all(|c| !c.link.wants_write());
             if quiesced || Instant::now() >= drain_deadline {
                 break;
             }
+        } else if stop.load(Ordering::Acquire) {
+            draining = true;
+            drain_deadline = Instant::now() + cfg.drain_timeout;
+            let _ = poller.deregister(lfd);
+            broadcast_goaway(&cfg, &mut poller, &mut conns);
+            // Requests that reached a socket before the stop was seen may
+            // postdate this iteration's poll. Judge quiescence only after
+            // one more — made immediate by the loop's own waker — so they
+            // are read and answered, not reset with the connection.
+            waker.notify();
         }
     }
-
-    for (_, conn) in conns.drain() {
-        let _ = poller.deregister(conn.fd);
-    }
-    if listener_registered {
-        let _ = poller.deregister(lfd);
-    }
-    pump.shutdown();
+    // Returning drops the poller and every connection, which closes them.
     Ok(())
 }
 
@@ -210,12 +225,10 @@ fn accept_ready(
 
 /// Handle one readiness event for a connection. Returns `false` when the
 /// connection must be torn down.
-#[allow(clippy::too_many_arguments)]
 fn on_conn_event(
     cfg: &GatewayConfig,
     poller: &mut Poller,
-    pump: &CompletionPump,
-    client: &RouterClient,
+    engine: &mut Engine,
     conn: &mut Conn,
     token: u64,
     ev: Event,
@@ -228,7 +241,7 @@ fn on_conn_event(
                     conn.read_closed = true;
                 }
                 for frame in outcome.frames {
-                    if !handle_frame(pump, client, conn, token, frame, draining) {
+                    if !handle_frame(engine, conn, token, frame, draining) {
                         // Protocol violation: the reply frame is already
                         // queued; push it out best-effort and close.
                         let _ = conn.link.on_writable();
@@ -259,18 +272,11 @@ fn on_conn_event(
 
 /// Dispatch one decoded frame. Returns `false` on protocol violations
 /// (clients may only send requests).
-fn handle_frame(
-    pump: &CompletionPump,
-    client: &RouterClient,
-    conn: &mut Conn,
-    token: u64,
-    frame: Frame,
-    draining: bool,
-) -> bool {
+fn handle_frame(engine: &mut Engine, conn: &mut Conn, token: u64, frame: Frame, draining: bool) -> bool {
     let rf = match frame {
         Frame::Request(rf) => rf,
-        _ => {
-            send_protocol_error(conn, crate::frame::FrameError::UnknownKind(0));
+        other => {
+            send_protocol_error(conn, FrameError::UnknownKind(other.kind()));
             return false;
         }
     };
@@ -286,10 +292,11 @@ fn handle_frame(
     if let Some(tag) = rf.tag {
         req = req.tag(tag);
     }
-    match client.send(&rf.model, req) {
-        Ok(handle) => {
+    match engine.client.send_to(&rf.model, req, engine.next_key, &engine.completions) {
+        Ok(()) => {
             conn.open_requests += 1;
-            pump.submit(token, rf.correlation_id, handle);
+            engine.inflight.insert(engine.next_key, (token, rf.correlation_id));
+            engine.next_key += 1;
         }
         Err(ServeError::Overloaded { retry_after }) => {
             let reply = Frame::Backpressure(BackpressureFrame {
@@ -309,7 +316,7 @@ fn handle_frame(
 /// Queue a connection-level protocol-error frame and push it best-effort:
 /// the caller closes the connection immediately after, so this is the last
 /// thing the peer hears.
-fn send_protocol_error(conn: &mut Conn, violation: crate::frame::FrameError) {
+fn send_protocol_error(conn: &mut Conn, violation: FrameError) {
     let reply = Frame::Error(ErrorFrame {
         correlation_id: 0,
         code: PROTOCOL_ERROR_CODE,
@@ -321,26 +328,28 @@ fn send_protocol_error(conn: &mut Conn, violation: crate::frame::FrameError) {
     let _ = conn.link.on_writable();
 }
 
-/// Write settled completions back to their connections.
+/// Take what the engine settled since the last wake and write each result
+/// back to its connection.
 fn deliver_completions(
     cfg: &GatewayConfig,
     poller: &mut Poller,
-    pump: &CompletionPump,
+    engine: &mut Engine,
     conns: &mut HashMap<u64, Conn>,
 ) {
-    let completions = pump.take_completions();
+    let completions = engine.completions.take();
     if completions.is_empty() {
         return;
     }
     let mut dead: Vec<u64> = Vec::with_capacity(2);
-    for completion in completions {
-        let Some(conn) = conns.get_mut(&completion.token) else {
+    for (key, result) in completions {
+        let Some((token, correlation_id)) = engine.inflight.remove(&key) else { continue };
+        let Some(conn) = conns.get_mut(&token) else {
             continue; // connection closed while the request was in flight
         };
         conn.open_requests = conn.open_requests.saturating_sub(1);
-        let reply = match completion.result {
+        let reply = match result {
             Ok(resp) => Frame::Response(ResponseFrame {
-                correlation_id: completion.correlation_id,
+                correlation_id,
                 batch_id: resp.batch_id,
                 model_version: resp.model_version,
                 batch_samples: resp.batch_samples.min(u32::MAX as usize) as u32,
@@ -350,19 +359,19 @@ fn deliver_completions(
                 output: resp.output,
             }),
             Err(ServeError::Overloaded { retry_after }) => Frame::Backpressure(BackpressureFrame {
-                correlation_id: completion.correlation_id,
+                correlation_id,
                 retry_after_ms: retry_after.as_millis().min(u128::from(u32::MAX)) as u32,
             }),
-            Err(err) => Frame::Error(error_frame(completion.correlation_id, &err)),
+            Err(err) => Frame::Error(error_frame(correlation_id, &err)),
         };
         let queued = conn.link.queue_frame(&reply).is_ok();
         let flushed = conn.link.on_writable().is_ok();
         if !queued || !flushed || conn.finished() {
-            dead.push(completion.token);
+            dead.push(token);
             continue;
         }
         update_watermark(cfg, conn);
-        sync_interest(poller, conn, completion.token);
+        sync_interest(poller, conn, token);
     }
     for token in dead {
         close_conn(poller, conns, token);

@@ -129,6 +129,20 @@ pub enum Frame {
     GoAway,
 }
 
+impl Frame {
+    /// The frame's kind byte on the wire.
+    #[must_use]
+    pub fn kind(&self) -> u8 {
+        match self {
+            Frame::Request(_) => KIND_REQUEST,
+            Frame::Response(_) => KIND_RESPONSE,
+            Frame::Error(_) => KIND_ERROR,
+            Frame::Backpressure(_) => KIND_BACKPRESSURE,
+            Frame::GoAway => KIND_GOAWAY,
+        }
+    }
+}
+
 /// Why a byte stream failed to decode (or a frame failed to encode). Any
 /// decode-side variant is fatal for the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,7 +158,8 @@ pub enum FrameError {
     Truncated,
     /// The body was longer than its fields consume.
     TrailingBytes,
-    /// The kind byte names no known frame.
+    /// The kind byte names no frame this side accepts: no known frame, or
+    /// one this side only ever sends (a gateway accepts requests alone).
     UnknownKind(u8),
     /// The priority byte names no known class.
     BadPriority(u8),
@@ -422,9 +437,9 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) -> Result<(), FrameError> 
     }
     out.reserve(FRAME_HEADER_BYTES + body);
     out.extend_from_slice(&(body as u32).to_le_bytes());
+    out.push(frame.kind());
     match frame {
         Frame::Request(rf) => {
-            out.push(KIND_REQUEST);
             out.extend_from_slice(&rf.correlation_id.to_le_bytes());
             out.push(match rf.priority {
                 Priority::Interactive => 0,
@@ -437,7 +452,6 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) -> Result<(), FrameError> 
             put_tensor(out, &rf.input);
         }
         Frame::Response(rf) => {
-            out.push(KIND_RESPONSE);
             out.extend_from_slice(&rf.correlation_id.to_le_bytes());
             out.extend_from_slice(&rf.batch_id.to_le_bytes());
             out.extend_from_slice(&rf.model_version.to_le_bytes());
@@ -448,7 +462,6 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) -> Result<(), FrameError> 
             put_tensor(out, &rf.output);
         }
         Frame::Error(ef) => {
-            out.push(KIND_ERROR);
             out.extend_from_slice(&ef.correlation_id.to_le_bytes());
             out.extend_from_slice(&ef.code.to_le_bytes());
             out.extend_from_slice(&ef.retry_after_ms.to_le_bytes());
@@ -456,11 +469,10 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) -> Result<(), FrameError> 
             out.extend_from_slice(ef.message.as_bytes());
         }
         Frame::Backpressure(bf) => {
-            out.push(KIND_BACKPRESSURE);
             out.extend_from_slice(&bf.correlation_id.to_le_bytes());
             out.extend_from_slice(&bf.retry_after_ms.to_le_bytes());
         }
-        Frame::GoAway => out.push(KIND_GOAWAY),
+        Frame::GoAway => {}
     }
     Ok(())
 }

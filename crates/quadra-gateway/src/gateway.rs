@@ -43,7 +43,8 @@ pub struct Gateway {
 
 impl Gateway {
     /// Bind `config.listen`, take ownership of `router`, and spawn the event
-    /// loop (`gateway-loop`) and completion pump (`gateway-pump`) threads.
+    /// loop — `gateway-loop`, the only thread a gateway owns. The router's
+    /// workers push each completion to it and wake it; nothing polls.
     ///
     /// Fails fast on invalid config, bind errors, or unsupported platforms
     /// (non-Unix targets have no readiness syscalls without external

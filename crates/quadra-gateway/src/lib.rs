@@ -5,16 +5,16 @@
 //! portable `poll(2)` fallback) multiplexes thousands of non-blocking
 //! connections over a compact length-prefixed binary protocol, mapping each
 //! request frame 1:1 onto [`quadra_serve::Request`] /
-//! [`quadra_serve::RouterClient::send`] and streaming
+//! [`quadra_serve::RouterClient::send_to`] and streaming
 //! [`quadra_serve::InferResponse`]s (or typed errors) back.
 //!
-//! Architecture, one thread each:
+//! Architecture — one thread of its own:
 //!
 //! * **`gateway-loop`** ([`event_loop`](crate::Gateway)) — readiness
 //!   dispatch, codec, connection lifecycle, backpressure. Never blocks on
-//!   inference.
-//! * **`gateway-pump`** — polls in-flight [`quadra_serve::ResponseHandle`]s
-//!   and wakes the loop through an eventfd/self-pipe when results settle.
+//!   inference and never polls for a result: the engine thread that settles
+//!   a request pushes it onto the loop's [`quadra_serve::CompletionQueue`]
+//!   and wakes the loop through an eventfd/self-pipe.
 //! * The engine's own worker threads, owned by the [`quadra_serve::Router`]
 //!   the gateway serves.
 //!
@@ -52,7 +52,6 @@ mod conn;
 mod event_loop;
 pub mod frame;
 mod gateway;
-mod pump;
 mod sys;
 
 pub use client::{GatewayClient, GatewayError, Reply};

@@ -10,6 +10,9 @@
 //! [`std::io::ErrorKind::Unsupported`] from [`Poller::new`]; nothing else in
 //! the crate is reached.
 //!
+//! The [`Waker`] is how other threads reach the loop: an engine worker after
+//! pushing a completion, `Gateway::shutdown` after setting the stop flag.
+//!
 //! Both backends are **level-triggered**: an event keeps firing while the
 //! condition holds, so the event loop never needs to drain a socket to
 //! "re-arm" it — it reads/writes until `WouldBlock` because that is cheaper,
@@ -31,6 +34,17 @@ pub(crate) struct Event {
     /// The peer hung up or the descriptor errored; the connection should be
     /// read to EOF and closed.
     pub closed: bool,
+}
+
+/// A wait bound as the millisecond argument of `epoll_wait` / `poll`: `-1`
+/// blocks forever. Rounded up, so a wait never returns before its bound and
+/// a caller looping to a deadline does not spin through the last millisecond.
+#[cfg(unix)]
+fn timeout_ms(timeout: Option<Duration>) -> i32 {
+    match timeout {
+        None => -1,
+        Some(d) => d.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32,
+    }
 }
 
 /// Raw file descriptors of the sockets the event loop multiplexes.
@@ -140,10 +154,7 @@ mod imp {
         }
 
         pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
-            let timeout_ms: i32 = match timeout {
-                None => -1,
-                Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
-            };
+            let timeout_ms = super::timeout_ms(timeout);
             let capacity = self.buf.len() as i32;
             // Safety: `buf` is a live, writable array of `capacity` events for
             // the duration of the call.
@@ -268,10 +279,7 @@ mod imp {
                 }
                 self.buf.push(PollFd { fd: r.fd, events: mask, revents: 0 });
             }
-            let timeout_ms: i32 = match timeout {
-                None => -1,
-                Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
-            };
+            let timeout_ms = super::timeout_ms(timeout);
             let nfds = self.buf.len() as u32;
             // Safety: `buf` holds `nfds` live pollfd entries for the call.
             let n = unsafe { poll(self.buf.as_mut_ptr(), nfds, timeout_ms) };
@@ -389,7 +397,7 @@ mod waker_imp {
         fn close(fd: i32) -> i32;
     }
 
-    /// An eventfd: one fd, written by the pump thread, read by the loop.
+    /// An eventfd: one fd, written by notifying threads, read by the loop.
     pub(crate) struct Fds {
         fd: i32,
     }
@@ -515,11 +523,16 @@ mod waker_imp {
     }
 }
 
-/// Cross-thread wakeup for the event loop: the completion pump (or a
-/// shutdown request) signals, the loop's poller observes the waker fd as
-/// readable and drains it. Signals coalesce through `pending`, so a stalled
-/// loop accumulates exactly one outstanding byte/count no matter how many
-/// notifications raced in.
+/// Cross-thread wakeup for the event loop: an engine thread that just pushed
+/// a completion (or a shutdown request) signals, the loop's poller observes
+/// the waker fd as readable and drains it. Signals coalesce through
+/// `pending`, so a stalled loop accumulates exactly one outstanding
+/// byte/count no matter how many notifications raced in.
+///
+/// The contract with the consumer: publish, then `notify`; on the loop side
+/// `drain`, then look at what was published. A `notify` that lands while
+/// `drain` runs may leave no fd event behind, but its data was published
+/// before `drain` returned, so the look that follows finds it.
 pub(crate) struct Waker {
     fds: waker_imp::Fds,
     pending: AtomicBool,
@@ -545,9 +558,19 @@ impl Waker {
     }
 
     /// Consume a pending wakeup; called by the loop when the fd fires.
+    ///
+    /// The fd is emptied *before* the flag is cleared. In the other order a
+    /// `notify` landing between the two steps would set the flag and write a
+    /// count that the read then swallows, leaving the flag stuck `true` over
+    /// an empty fd — every later `notify` a no-op and the loop asleep forever.
+    ///
+    /// The clear is a read-modify-write pairing with `notify`'s swap: it
+    /// either reads the notifier's write, acquiring what that thread
+    /// published, or precedes it, and the notifier then signals the fd anew.
+    /// A plain store could be passed by the loop's next loads and lose both.
     pub fn drain(&self) {
-        self.pending.store(false, Ordering::Release);
         self.fds.drain();
+        self.pending.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -631,5 +654,62 @@ mod tests {
         let mut events = Vec::new();
         poller.wait(Some(Duration::from_millis(1000)), &mut events).unwrap();
         assert_eq!(events.len(), 1);
+    }
+
+    /// The consumer protocol the event loop runs (wait → drain → take)
+    /// against several threads doing publish → notify. Each notifier waits
+    /// for its item to be taken before publishing the next, so nearly every
+    /// item costs the consumer its own wake and notifies keep landing while
+    /// another's wake is being drained. A `notify` lost inside `drain` shows
+    /// as a wait that times out while items sit untaken.
+    #[test]
+    fn waker_loses_no_wakeup_with_many_notifiers() {
+        use std::sync::atomic::AtomicUsize;
+        const NOTIFIERS: usize = 4;
+        const ITEMS_EACH: usize = 40_000;
+        const STALL: Duration = Duration::from_secs(5);
+
+        let waker = Waker::new().unwrap();
+        let mut poller = Poller::new().unwrap();
+        poller.register(waker.read_fd(), 1, true, false).unwrap();
+        let published = std::sync::Mutex::new(Vec::<usize>::new());
+        let taken: Vec<AtomicUsize> = (0..NOTIFIERS).map(|_| AtomicUsize::new(0)).collect();
+        let gave_up = AtomicBool::new(false);
+
+        std::thread::scope(|scope| {
+            for n in 0..NOTIFIERS {
+                let (waker, published, taken, gave_up) = (&waker, &published, &taken, &gave_up);
+                scope.spawn(move || {
+                    for i in 0..ITEMS_EACH {
+                        published.lock().unwrap().push(n);
+                        waker.notify();
+                        while taken[n].load(Ordering::Acquire) <= i && !gave_up.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+
+            let mut remaining = NOTIFIERS * ITEMS_EACH;
+            let mut events = Vec::new();
+            while remaining > 0 {
+                events.clear();
+                let waited = std::time::Instant::now();
+                poller.wait(Some(STALL), &mut events).unwrap();
+                if events.is_empty() {
+                    if waited.elapsed() < STALL {
+                        continue; // EINTR
+                    }
+                    gave_up.store(true, Ordering::Release);
+                    let stranded = published.lock().unwrap().len();
+                    panic!("poll timed out with {stranded} items published and {remaining} still to take");
+                }
+                waker.drain();
+                for n in std::mem::take(&mut *published.lock().unwrap()) {
+                    taken[n].fetch_add(1, Ordering::AcqRel);
+                    remaining -= 1;
+                }
+            }
+        });
     }
 }

@@ -157,33 +157,46 @@ fn malformed_bytes_get_a_protocol_error_frame_then_disconnect() {
 fn protocol_error_reply_carries_code_zero() {
     use std::io::{Read, Write};
     let gateway = start_gateway();
-    let mut raw = std::net::TcpStream::connect(gateway.local_addr()).unwrap();
-    let mut wire = Vec::new();
-    wire.extend_from_slice(&2u32.to_le_bytes());
-    wire.extend_from_slice(&[0xEE, 0xEE]);
-    raw.write_all(&wire).unwrap();
 
-    // Read whatever the gateway sends before closing; it must decode to an
-    // error frame with the reserved protocol code.
-    let mut buf = Vec::new();
-    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match raw.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
+    // A garbage kind byte inside a well-formed length prefix, and a
+    // well-formed frame of a kind only the gateway may send (GoAway): both
+    // are answered with the reserved protocol code and a message naming the
+    // kind byte the peer actually sent.
+    let garbage = [&2u32.to_le_bytes()[..], &[0xEE, 0xEE]].concat();
+    let mut goaway = Vec::new();
+    quadra_gateway::encode_frame(&quadra_gateway::Frame::GoAway, &mut goaway).unwrap();
+    let goaway_kind = *goaway.last().unwrap();
+
+    for (wire, kind) in [(garbage, 0xEE_u8), (goaway, goaway_kind)] {
+        let mut raw = std::net::TcpStream::connect(gateway.local_addr()).unwrap();
+        raw.write_all(&wire).unwrap();
+
+        // Read whatever the gateway sends before closing; it must decode to
+        // an error frame with the reserved protocol code.
+        let mut buf = Vec::new();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match raw.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                Err(_) => break,
+            }
         }
-    }
-    let (frame, _) =
-        quadra_gateway::decode_frame(&buf, MAX_FRAME).expect("reply decodes").expect("reply is complete");
-    match frame {
-        quadra_gateway::Frame::Error(e) => {
-            assert_eq!(e.code, quadra_gateway::PROTOCOL_ERROR_CODE);
-            assert_eq!(e.correlation_id, 0);
-            assert!(!e.message.is_empty());
+        let (frame, _) =
+            quadra_gateway::decode_frame(&buf, MAX_FRAME).expect("reply decodes").expect("reply is complete");
+        match frame {
+            quadra_gateway::Frame::Error(e) => {
+                assert_eq!(e.code, quadra_gateway::PROTOCOL_ERROR_CODE);
+                assert_eq!(e.correlation_id, 0);
+                assert!(
+                    e.message.contains(&format!("kind {kind}")),
+                    "message {:?} must name the kind byte {kind} the peer sent",
+                    e.message
+                );
+            }
+            other => panic!("expected protocol error frame, got {other:?}"),
         }
-        other => panic!("expected protocol error frame, got {other:?}"),
     }
     let _ = gateway.shutdown();
 }

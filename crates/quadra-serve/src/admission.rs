@@ -127,20 +127,21 @@ impl AdmissionQueue {
     /// otherwise it could never be served at all (it then occupies the queue
     /// alone, exactly like an oversized batch occupies a worker alone).
     ///
-    /// The `Err` variant hands the (tensor-carrying) request back by value on
-    /// purpose: the caller destructures it on the spot, nothing propagates.
+    /// A rejected request is never answered through its reply slot: the
+    /// caller hears the rejection here, synchronously.
     // quadra-analyze: allow(panic_path:indexing, class arrays are Priority::COUNT-sized and indexed via Priority::index())
-    #[allow(clippy::result_large_err)]
-    pub fn try_admit(&self, req: PendingInfer) -> Result<(), (PendingInfer, AdmitRejection)> {
+    pub fn try_admit(&self, req: PendingInfer) -> Result<(), AdmitRejection> {
         let mut st = lock_or_recover(&self.state);
         if st.closed {
-            return Err((req, AdmitRejection::Closed));
+            req.reply.defuse();
+            return Err(AdmitRejection::Closed);
         }
         let class = req.priority.index();
         if let Some(cap) = self.capacity {
             let queued = st.queued_samples[class];
             if queued > 0 && queued + req.samples > cap {
-                return Err((req, AdmitRejection::Full));
+                req.reply.defuse();
+                return Err(AdmitRejection::Full);
             }
         }
         st.queued_samples[class] += req.samples;
@@ -325,26 +326,13 @@ impl Drop for FormationGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::ServeError;
+    use crate::request::ReplyDest;
     use quadra_tensor::Tensor;
-    use std::sync::atomic::AtomicBool;
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
     fn req(samples: usize, priority: Priority) -> PendingInfer {
-        let (reply, rx) = mpsc::channel::<Result<crate::InferResponse, ServeError>>();
-        std::mem::forget(rx); // keep the reply channel alive for the test's lifetime
-        PendingInfer {
-            id: 0,
-            input: Tensor::zeros(&[samples, 2]),
-            samples,
-            priority,
-            tag: None,
-            submitted_at: Instant::now(),
-            deadline: None,
-            cancelled: Arc::new(AtomicBool::new(false)),
-            reply,
-        }
+        PendingInfer::for_test(Tensor::zeros(&[samples, 2]), priority, ReplyDest::Channel(mpsc::channel().0))
     }
 
     fn pop_priority(q: &AdmissionQueue) -> Priority {
@@ -360,7 +348,7 @@ mod tests {
         q.try_admit(req(2, Priority::Interactive)).unwrap();
         q.try_admit(req(1, Priority::Interactive)).unwrap();
         let err = q.try_admit(req(1, Priority::Interactive)).unwrap_err();
-        assert_eq!(err.1, AdmitRejection::Full);
+        assert_eq!(err, AdmitRejection::Full);
         // The other class has its own budget.
         q.try_admit(req(3, Priority::Batch)).unwrap();
         assert_eq!(q.depth(), 6);
@@ -371,7 +359,7 @@ mod tests {
         let q = AdmissionQueue::new(Some(2), 0, Arc::new(AtomicUsize::new(0)));
         q.try_admit(req(5, Priority::Interactive)).unwrap();
         let err = q.try_admit(req(5, Priority::Interactive)).unwrap_err();
-        assert_eq!(err.1, AdmitRejection::Full);
+        assert_eq!(err, AdmitRejection::Full);
     }
 
     #[test]
@@ -442,17 +430,11 @@ mod tests {
     fn take_compatible_skips_other_shapes_and_respects_budget() {
         let q = AdmissionQueue::new(None, 0, Arc::new(AtomicUsize::new(0)));
         q.try_admit(req(2, Priority::Batch)).unwrap(); // [2, 2] — compatible
-        let (reply, _rx) = mpsc::channel();
         q.try_admit(PendingInfer {
             id: 1,
             input: Tensor::zeros(&[1, 3]),
             samples: 1,
-            priority: Priority::Interactive,
-            tag: None,
-            submitted_at: Instant::now(),
-            deadline: None,
-            cancelled: Arc::new(AtomicBool::new(false)),
-            reply,
+            ..req(1, Priority::Interactive)
         })
         .unwrap(); // [1, 3] — different trailing shape, must stay queued
         q.try_admit(req(4, Priority::Interactive)).unwrap(); // too big for budget 3
@@ -585,7 +567,7 @@ mod tests {
         q.try_admit(req(1, Priority::Interactive)).unwrap();
         q.close();
         let err = q.try_admit(req(1, Priority::Interactive)).unwrap_err();
-        assert_eq!(err.1, AdmitRejection::Closed);
+        assert_eq!(err, AdmitRejection::Closed);
         assert!(matches!(q.pop_blocking(), PopResult::Request(_)));
         assert!(matches!(q.pop_blocking(), PopResult::Closed));
         let key = compat_key(&[1, 2], false);

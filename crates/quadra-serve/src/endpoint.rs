@@ -4,12 +4,12 @@
 
 use crate::admission::{AdmissionQueue, AdmitRejection};
 use crate::metrics::{MetricsHub, ServeMetrics};
-use crate::request::{PendingInfer, Priority, Request, ResponseHandle, ServeConfig, ServeError};
+use crate::request::{PendingInfer, Priority, ReplyDest, ReplySlot, Request, ServeConfig, ServeError};
 use crate::scheduler::FleetScheduler;
 use crate::sync::lock_or_recover;
 use crate::worker::ReloadSlot;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// EWMA smoothing: `new = (3 * old + sample) / 4`.
@@ -72,9 +72,10 @@ impl EndpointShared {
         }
     }
 
-    /// Validate and admit one request; returns the response handle or the
-    /// admission error (bad input, overload shed, shutting down).
-    pub fn submit(&self, id: u64, request: Request) -> Result<ResponseHandle, ServeError> {
+    /// Validate and admit one request, to be answered at `dest`; returns its
+    /// cancellation flag or the admission error (bad input, overload shed,
+    /// shutting down). A refused request answers nothing at `dest`.
+    pub fn submit(&self, id: u64, request: Request, dest: ReplyDest) -> Result<Arc<AtomicBool>, ServeError> {
         if request.input.ndim() < 2 {
             // quadra-analyze: allow(hot_alloc:format, reject path: runs once per malformed request, never on admitted traffic)
             return Err(ServeError::BadInput(format!(
@@ -91,7 +92,6 @@ impl EndpointShared {
         let deadline = request.resolve_deadline(submitted_at);
         let priority = request.priority;
         let cancelled = Arc::new(AtomicBool::new(false));
-        let (reply, rx) = mpsc::channel();
         let pending = PendingInfer {
             id,
             input: request.input,
@@ -101,15 +101,15 @@ impl EndpointShared {
             submitted_at,
             deadline,
             cancelled: Arc::clone(&cancelled),
-            reply,
+            reply: ReplySlot::new(dest),
         };
         match self.queue.try_admit(pending) {
             Ok(()) => {
                 self.fleet.nudge();
-                Ok(ResponseHandle { id, rx, cancelled })
+                Ok(cancelled)
             }
-            Err((_, AdmitRejection::Closed)) => Err(ServeError::ShuttingDown),
-            Err((_, AdmitRejection::Full)) => {
+            Err(AdmitRejection::Closed) => Err(ServeError::ShuttingDown),
+            Err(AdmitRejection::Full) => {
                 self.metrics.record_shed(priority);
                 Err(ServeError::Overloaded { retry_after: self.retry_after(priority) })
             }
@@ -211,6 +211,10 @@ mod tests {
     use super::*;
     use crate::request::{AdmissionPolicy, BatchPolicy};
     use quadra_tensor::Tensor;
+
+    fn submit(ep: &EndpointShared, request: Request) -> Result<Arc<AtomicBool>, ServeError> {
+        ep.submit(0, request, ReplyDest::Channel(std::sync::mpsc::channel().0))
+    }
 
     fn endpoint(adaptive: bool) -> EndpointShared {
         EndpointShared::new(
@@ -315,7 +319,7 @@ mod tests {
         }
         // 24 queued batch-class samples = 3 batches of 8 → 30 ms.
         for _ in 0..24 {
-            let _ = ep.submit(0, Request::new(Tensor::zeros(&[1, 2])).priority(Priority::Batch)).unwrap();
+            let _ = submit(&ep, Request::new(Tensor::zeros(&[1, 2])).priority(Priority::Batch)).unwrap();
         }
         let deep = ep.retry_after(Priority::Batch);
         assert_eq!(deep, Duration::from_millis(30));
@@ -343,7 +347,7 @@ mod tests {
         }
         // 16 batch-class samples queued, nothing interactive.
         for _ in 0..16 {
-            let _ = ep.submit(0, Request::new(Tensor::zeros(&[1, 2])).priority(Priority::Batch)).unwrap();
+            let _ = submit(&ep, Request::new(Tensor::zeros(&[1, 2])).priority(Priority::Batch)).unwrap();
         }
         // An interactive request only waits behind interactive backlog (one
         // wave), while a batch-class one waits behind everything (two waves).

@@ -59,16 +59,16 @@
 //!   [`Router::metrics`] rolls the fleet up into [`RouterMetrics`]
 //!   (including [`RouterMetrics::service_share`]).
 //!
-//! Single-architecture callers keep the one-line path: [`InferenceServer`] is
-//! a router with exactly one endpoint, and [`ServeClient::submit`] /
-//! [`ServeClient::submit_with_priority`] remain as thin wrappers over the
-//! [`Request`] builder.
+//! Event-driven front-ends (the `quadra-gateway` loop) use
+//! [`RouterClient::send_to`] instead: the response is pushed onto a shared
+//! [`CompletionQueue`] under a caller-chosen key and the queue's wake
+//! function runs, so no thread has to poll handles.
 //!
 //! ## Example
 //!
 //! ```
 //! use quadra_nn::{Layer, Linear, Relu, Sequential, StateDict};
-//! use quadra_serve::{InferenceServer, Priority, Request, ServeConfig};
+//! use quadra_serve::{Priority, Request, Router, ServeConfig};
 //! use quadra_tensor::Tensor;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
@@ -82,13 +82,15 @@
 //!         Box::new(Linear::new(16, 3, true, &mut rng)),
 //!     ]))
 //! };
-//! let server = InferenceServer::start(ServeConfig::default(), move || model(0)).unwrap();
-//! let client = server.client();
+//! let router =
+//!     Router::builder().endpoint("mlp", ServeConfig::default(), move || model(0)).start().unwrap();
+//! let client = router.client();
 //!
 //! // Serve a batch of two 4-feature rows, with the full lifecycle API: a
 //! // priority class, a deadline, and a tag echoed back in the response.
 //! let handle = client
 //!     .send(
+//!         "mlp",
 //!         Request::new(Tensor::ones(&[2, 4]))
 //!             .priority(Priority::Interactive)
 //!             .deadline(Duration::from_secs(5))
@@ -107,11 +109,11 @@
 //!     Box::new(Relu::new()),
 //!     Box::new(Linear::new(16, 3, true, &mut rng)),
 //! ]);
-//! let version = server.reload(StateDict::from_layer(&retrained)).unwrap();
+//! let version = router.reload("mlp", StateDict::from_layer(&retrained)).unwrap();
 //! assert_eq!(version, 1);
 //!
-//! let metrics = server.shutdown();
-//! assert_eq!(metrics.completed_requests, 1);
+//! let metrics = router.shutdown();
+//! assert_eq!(metrics.get("mlp").unwrap().completed_requests, 1);
 //! ```
 //!
 //! For the multi-model form — several architectures, per-model policies,
@@ -131,11 +133,7 @@ mod worker;
 
 pub use metrics::{RouterMetrics, ServeMetrics};
 pub use request::{
-    AdmissionPolicy, BatchPolicy, InferResponse, PendingResponse, Priority, Request, ResponseHandle,
-    ServeConfig, ServeError,
+    AdmissionPolicy, BatchPolicy, Completion, CompletionQueue, InferResponse, Priority, Request,
+    ResponseHandle, ServeConfig, ServeError,
 };
-pub use server::{InferenceServer, Router, RouterBuilder, RouterClient, ServeClient, DEFAULT_ENDPOINT};
-
-/// Alias emphasising the paper-facing name of the subsystem: the pool of
-/// model replicas behind the scheduler.
-pub type ModelWorkerPool = InferenceServer;
+pub use server::{Router, RouterBuilder, RouterClient};

@@ -2,9 +2,10 @@
 //! [`ResponseHandle`] a submission returns, and the policy knobs that control
 //! admission, batch formation, and fair sharing.
 
+use crate::sync::lock_or_recover;
 use quadra_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Scheduling class of a request inside a model's admission queue.
@@ -219,8 +220,7 @@ impl Default for AdmissionPolicy {
     }
 }
 
-/// Configuration of one model endpoint (and of the single-model
-/// [`InferenceServer`](crate::InferenceServer) convenience wrapper).
+/// Configuration of one model endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Number of model replicas, each on its own dedicated worker thread.
@@ -280,19 +280,22 @@ enum DeadlineSpec {
 ///
 /// ```
 /// # use quadra_nn::{Layer, Linear, Sequential};
-/// # use quadra_serve::{InferenceServer, Priority, Request, ServeConfig};
+/// # use quadra_serve::{Priority, Request, Router, ServeConfig};
 /// # use quadra_tensor::Tensor;
 /// # use rand::rngs::StdRng;
 /// # use rand::SeedableRng;
 /// # use std::time::Duration;
-/// # let server = InferenceServer::start(ServeConfig::default(), || {
-/// #     let mut rng = StdRng::seed_from_u64(0);
-/// #     Box::new(Sequential::new(vec![Box::new(Linear::new(4, 3, true, &mut rng)) as Box<dyn Layer>]))
-/// # })
-/// # .unwrap();
-/// # let client = server.client();
+/// # let router = Router::builder()
+/// #     .endpoint("classifier", ServeConfig::default(), || {
+/// #         let mut rng = StdRng::seed_from_u64(0);
+/// #         Box::new(Sequential::new(vec![Box::new(Linear::new(4, 3, true, &mut rng)) as Box<dyn Layer>]))
+/// #     })
+/// #     .start()
+/// #     .unwrap();
+/// # let client = router.client();
 /// # let image = Tensor::ones(&[1, 4]);
 /// let handle = client.send(
+///     "classifier",
 ///     Request::new(image)
 ///         .priority(Priority::Interactive)
 ///         .deadline(Duration::from_secs(5))
@@ -389,9 +392,8 @@ pub struct InferResponse {
     pub latency: Duration,
 }
 
-/// Handle to a response that has not arrived yet, returned by every submit
-/// path ([`RouterClient::send`](crate::RouterClient::send),
-/// [`ServeClient::submit`](crate::ServeClient::submit), …).
+/// Handle to a response that has not arrived yet, returned by
+/// [`RouterClient::send`](crate::RouterClient::send).
 ///
 /// The handle supports the full request lifecycle:
 /// * [`wait`](ResponseHandle::wait) blocks until the response arrives,
@@ -408,13 +410,6 @@ pub struct ResponseHandle {
     pub(crate) rx: mpsc::Receiver<Result<InferResponse, ServeError>>,
     pub(crate) cancelled: Arc<AtomicBool>,
 }
-
-/// The pre-redesign name of [`ResponseHandle`], kept as an alias for PR-4
-/// callers. One signature changed: `wait_timeout` now borrows (`&mut self`)
-/// instead of consuming the handle — callers that used it on a non-`mut`
-/// binding must add `mut`, and in exchange the handle survives a
-/// [`ServeError::Timeout`].
-pub type PendingResponse = ResponseHandle;
 
 impl ResponseHandle {
     /// The request id this handle waits for.
@@ -461,10 +456,97 @@ impl ResponseHandle {
     }
 }
 
-/// A request travelling through the admission queue towards a worker.
+/// A shared destination for pushed completions: the event-driven alternative
+/// to holding one [`ResponseHandle`] per request.
 ///
-/// `Debug` skips the tensor payload; it exists so admission errors (which
-/// hand the request back) stay unwrap-friendly in tests.
+/// Every request admitted through
+/// [`RouterClient::send_to`](crate::RouterClient::send_to) settles by
+/// appending exactly one [`Completion`] here and then calling the queue's
+/// wake function, so a single-threaded consumer sleeps on its own readiness
+/// primitive and [`take`](CompletionQueue::take)s after each wake. There is
+/// no capacity to set: the queue never holds more than the
+/// admitted-and-unanswered requests, which admission already bounds.
+#[must_use = "a queue nothing is sent to receives nothing"]
+pub struct CompletionQueue {
+    items: Mutex<Vec<Completion>>,
+    wake: Box<dyn Fn() + Send + Sync>,
+}
+
+/// The key its caller gave a request, and the serving engine's verdict.
+pub type Completion = (u64, Result<InferResponse, ServeError>);
+
+impl CompletionQueue {
+    /// A queue that calls `wake` after every push. `wake` runs on the
+    /// settling thread (usually a worker) with no lock held; it must not
+    /// block or panic.
+    pub fn new(wake: impl Fn() + Send + Sync + 'static) -> Arc<CompletionQueue> {
+        Arc::new(CompletionQueue { items: Mutex::new(Vec::new()), wake: Box::new(wake) })
+    }
+
+    /// Take every completion pushed since the last call, in settle order.
+    #[must_use]
+    pub fn take(&self) -> Vec<Completion> {
+        std::mem::take(&mut *lock_or_recover(&self.items))
+    }
+}
+
+/// Where a request's result goes.
+pub(crate) enum ReplyDest {
+    /// The receiver inside the caller's [`ResponseHandle`].
+    Channel(mpsc::Sender<Result<InferResponse, ServeError>>),
+    /// A shared queue, under the caller's key.
+    Queue(u64, Arc<CompletionQueue>),
+}
+
+/// The single-use reply slot of a [`PendingInfer`]: answered exactly once.
+///
+/// [`settle`](ReplySlot::settle) consumes the slot, so a request cannot be
+/// answered twice; a slot dropped unanswered (router torn down with work
+/// queued, a worker unwinding past its catch) answers
+/// [`ServeError::ShuttingDown`] from its `Drop`, so every admitted request
+/// reaches its destination no matter how it leaves the engine.
+pub(crate) struct ReplySlot(Option<ReplyDest>);
+
+impl ReplySlot {
+    pub fn new(dest: ReplyDest) -> ReplySlot {
+        ReplySlot(Some(dest))
+    }
+
+    /// Answer the request.
+    pub fn settle(mut self, result: Result<InferResponse, ServeError>) {
+        self.deliver(result);
+    }
+
+    /// Discard the slot without answering: admission refused the request, so
+    /// its caller already holds the error.
+    pub fn defuse(mut self) {
+        self.0 = None;
+    }
+
+    fn deliver(&mut self, result: Result<InferResponse, ServeError>) {
+        match self.0.take() {
+            Some(ReplyDest::Channel(tx)) => {
+                // quadra-analyze: allow(must_use, a dropped receiver means the client stopped waiting)
+                let _ = tx.send(result);
+            }
+            Some(ReplyDest::Queue(key, queue)) => {
+                // The guard is a temporary of the push statement: the wake,
+                // which may take the consumer's locks, runs unlocked.
+                lock_or_recover(&queue.items).push((key, result));
+                (queue.wake)();
+            }
+            None => {}
+        }
+    }
+}
+
+impl Drop for ReplySlot {
+    fn drop(&mut self) {
+        self.deliver(Err(ServeError::ShuttingDown));
+    }
+}
+
+/// A request travelling through the admission queue towards a worker.
 pub(crate) struct PendingInfer {
     pub id: u64,
     pub input: Tensor,
@@ -476,7 +558,7 @@ pub(crate) struct PendingInfer {
     pub deadline: Option<Instant>,
     /// Set by [`ResponseHandle::cancel`]; checked at dispatch time.
     pub cancelled: Arc<AtomicBool>,
-    pub reply: mpsc::Sender<Result<InferResponse, ServeError>>,
+    pub reply: ReplySlot,
 }
 
 impl PendingInfer {
@@ -492,14 +574,22 @@ impl PendingInfer {
     }
 }
 
-impl std::fmt::Debug for PendingInfer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingInfer")
-            .field("id", &self.id)
-            .field("samples", &self.samples)
-            .field("priority", &self.priority)
-            .field("tag", &self.tag)
-            .finish_non_exhaustive()
+#[cfg(test)]
+impl PendingInfer {
+    /// A live request around `input` with no tag or deadline, answering at
+    /// `dest` — the fixture of this crate's unit tests.
+    pub fn for_test(input: Tensor, priority: Priority, dest: ReplyDest) -> PendingInfer {
+        PendingInfer {
+            id: 0,
+            samples: input.shape()[0],
+            input,
+            priority,
+            tag: None,
+            submitted_at: Instant::now(),
+            deadline: None,
+            cancelled: Arc::new(AtomicBool::new(false)),
+            reply: ReplySlot::new(dest),
+        }
     }
 }
 
@@ -624,21 +714,45 @@ mod tests {
         assert_eq!(Request::new(Tensor::ones(&[1, 2])).resolve_deadline(submitted_at), None);
     }
 
+    fn pending(dest: ReplyDest) -> PendingInfer {
+        PendingInfer::for_test(Tensor::ones(&[1, 2]), Priority::Interactive, dest)
+    }
+
+    #[test]
+    fn reply_slot_answers_exactly_once_on_both_variants() {
+        let wakes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = Arc::clone(&wakes);
+        let queue = CompletionQueue::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        let queued = |key| ReplyDest::Queue(key, Arc::clone(&queue));
+        let verdicts = || -> Vec<_> { queue.take().into_iter().map(|(k, r)| (k, r.unwrap_err())).collect() };
+
+        // Dropped unanswered: both destinations hear ShuttingDown.
+        let (tx, rx) = mpsc::channel();
+        drop(pending(ReplyDest::Channel(tx)));
+        assert_eq!(rx.try_recv().unwrap().unwrap_err(), ServeError::ShuttingDown);
+        drop(pending(queued(7)));
+        assert_eq!(verdicts(), vec![(7, ServeError::ShuttingDown)]);
+
+        // Settled: the verdict arrives once; the drop that follows adds none.
+        let (tx, rx) = mpsc::channel();
+        pending(ReplyDest::Channel(tx)).reply.settle(Err(ServeError::Cancelled));
+        assert_eq!(rx.try_recv().unwrap().unwrap_err(), ServeError::Cancelled);
+        assert!(matches!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected)));
+        pending(queued(8)).reply.settle(Err(ServeError::Cancelled));
+        assert_eq!(verdicts(), vec![(8, ServeError::Cancelled)]);
+
+        // Refused at admission: the caller already holds the error.
+        pending(queued(9)).reply.defuse();
+        assert!(queue.take().is_empty());
+        assert_eq!(wakes.load(Ordering::SeqCst), 2, "one wake per push");
+    }
+
     #[test]
     fn dead_reason_prefers_cancellation_and_respects_deadlines() {
         let now = Instant::now();
-        let (reply, _rx) = mpsc::channel();
-        let mut req = PendingInfer {
-            id: 0,
-            input: Tensor::ones(&[1, 2]),
-            samples: 1,
-            priority: Priority::Interactive,
-            tag: None,
-            submitted_at: now,
-            deadline: None,
-            cancelled: Arc::new(AtomicBool::new(false)),
-            reply,
-        };
+        let mut req = PendingInfer { submitted_at: now, ..pending(ReplyDest::Channel(mpsc::channel().0)) };
         assert_eq!(req.dead_reason(now), None);
         req.deadline = Some(now + Duration::from_millis(5));
         assert_eq!(req.dead_reason(now), None, "deadline in the future is live");

@@ -368,8 +368,7 @@ fn retain_live(requests: Vec<PendingInfer>, shared: &EndpointShared) -> Vec<Pend
             None => live.push(request),
             Some(reason) => {
                 shared.metrics.record_dispatch_shed(request.priority, &reason);
-                // quadra-analyze: allow(must_use, a dropped receiver means the client stopped waiting)
-                let _ = request.reply.send(Err(reason));
+                request.reply.settle(Err(reason));
             }
         }
     }
@@ -468,26 +467,11 @@ pub(crate) fn next_batch(shared: &EndpointShared) -> Option<(Batch, GrantGuard)>
 mod tests {
     use super::*;
     use crate::request::{Priority, ServeError};
-    use std::sync::atomic::AtomicBool;
     use std::sync::{mpsc, Arc};
 
     fn pend(input: Tensor) -> (PendingInfer, mpsc::Receiver<Result<crate::InferResponse, ServeError>>) {
         let (tx, rx) = mpsc::channel();
-        let samples = input.shape()[0];
-        (
-            PendingInfer {
-                id: 0,
-                input,
-                samples,
-                priority: Priority::Interactive,
-                tag: None,
-                submitted_at: Instant::now(),
-                deadline: None,
-                cancelled: Arc::new(AtomicBool::new(false)),
-                reply: tx,
-            },
-            rx,
-        )
+        (PendingInfer::for_test(input, Priority::Interactive, crate::request::ReplyDest::Channel(tx)), rx)
     }
 
     #[test]

@@ -1,22 +1,20 @@
-//! The serving front-ends: the multi-model [`Router`] (named endpoints, each
+//! The serving front-end: the multi-model [`Router`] (named endpoints, each
 //! with its own admission queue, worker pool, and hot-reload version, all
-//! sharing one fleet scheduler) and the single-model [`InferenceServer`]
-//! convenience wrapper.
+//! sharing one fleet scheduler) and its cloneable [`RouterClient`].
 
 use crate::endpoint::EndpointShared;
 use crate::metrics::{RouterMetrics, ServeMetrics};
-use crate::request::{InferResponse, Priority, Request, ResponseHandle, ServeConfig, ServeError};
+use crate::request::{
+    CompletionQueue, InferResponse, ReplyDest, Request, ResponseHandle, ServeConfig, ServeError,
+};
 use crate::scheduler::FleetScheduler;
 use crate::worker::{self, ModelFactory};
 use quadra_nn::{Layer, StateDict};
 use quadra_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-
-/// Endpoint name used by the single-model [`InferenceServer`] wrapper.
-pub const DEFAULT_ENDPOINT: &str = "default";
 
 struct EndpointRuntime {
     shared: Arc<EndpointShared>,
@@ -256,25 +254,31 @@ impl RouterClient {
     /// [cancelled](ResponseHandle::cancel) or expire at its
     /// [deadline](Request::deadline).
     pub fn send(&self, model: &str, request: Request) -> Result<ResponseHandle, ServeError> {
-        let endpoint =
-            self.endpoints.get(model).ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-        // quadra-analyze: allow(atomics:relaxed-fetch, request ids are a monotonic counter; no memory is published through them)
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        endpoint.submit(id, request)
+        let (endpoint, id) = self.route(model)?;
+        let (tx, rx) = mpsc::channel();
+        let cancelled = endpoint.submit(id, request, ReplyDest::Channel(tx))?;
+        Ok(ResponseHandle { id, rx, cancelled })
     }
 
-    /// Enqueue `input` for `model` under `priority`: shorthand for
-    /// [`send`](RouterClient::send) with a bare builder.
-    pub fn submit(
+    /// Like [`send`](RouterClient::send), but for event-driven callers: no
+    /// handle is returned; the response is pushed onto `queue` as a
+    /// [`Completion`](crate::Completion) under `key`, and the queue's wake
+    /// function runs. A submission refused here (unknown model, bad input,
+    /// shed, shutting down) returns its error and pushes nothing; an admitted
+    /// one pushes exactly once, even if the router is torn down first.
+    pub fn send_to(
         &self,
         model: &str,
-        input: Tensor,
-        priority: Priority,
-    ) -> Result<ResponseHandle, ServeError> {
-        self.send(model, Request::new(input).priority(priority))
+        request: Request,
+        key: u64,
+        queue: &Arc<CompletionQueue>,
+    ) -> Result<(), ServeError> {
+        let (endpoint, id) = self.route(model)?;
+        endpoint.submit(id, request, ReplyDest::Queue(key, Arc::clone(queue))).map(drop)
     }
 
-    /// Submit at [`Priority::Interactive`] and block until the response arrives.
+    /// Submit at [`Priority::Interactive`](crate::Priority::Interactive) and
+    /// block until the response arrives.
     pub fn infer(&self, model: &str, input: Tensor) -> Result<InferResponse, ServeError> {
         // quadra-analyze: allow(condvar:wait-not-in-loop, ResponseHandle::wait is a one-shot channel join, not a condvar wait)
         self.send(model, Request::new(input))?.wait()
@@ -284,110 +288,12 @@ impl RouterClient {
     pub fn models(&self) -> Vec<String> {
         self.endpoints.keys().cloned().collect()
     }
-}
 
-/// A single-model batched-inference server: a [`Router`] with exactly one
-/// endpoint (named [`DEFAULT_ENDPOINT`]), kept as the one-line construction
-/// path for callers that serve a single architecture.
-#[must_use = "dropping an InferenceServer without shutdown() leaks its worker threads"]
-pub struct InferenceServer {
-    router: Router,
-}
-
-impl InferenceServer {
-    /// Start a single-model server. `factory` builds one model replica; it is
-    /// called once per worker on the worker's own thread (plus once per
-    /// [`reload`] for validation), so replicas never cross threads.
-    ///
-    /// [`reload`]: InferenceServer::reload
-    pub fn start<F>(config: ServeConfig, factory: F) -> Result<InferenceServer, ServeError>
-    where
-        F: Fn() -> Box<dyn Layer> + Send + Sync + 'static,
-    {
-        Ok(InferenceServer { router: Router::builder().endpoint(DEFAULT_ENDPOINT, config, factory).start()? })
-    }
-
-    /// The underlying single-endpoint router.
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-
-    /// A cheap cloneable handle for submitting requests.
-    pub fn client(&self) -> ServeClient {
-        ServeClient { inner: self.router.client(), model: DEFAULT_ENDPOINT.to_string() }
-    }
-
-    /// Swap in a new model state between batches (see [`Router::reload`]).
-    pub fn reload(&self, state: StateDict) -> Result<u64, ServeError> {
-        self.router.reload(DEFAULT_ENDPOINT, state)
-    }
-
-    /// The state version workers are currently serving from (0 until the
-    /// first [`InferenceServer::reload`]).
-    pub fn version(&self) -> u64 {
-        self.router.version(DEFAULT_ENDPOINT).expect("default endpoint exists")
-    }
-
-    /// A point-in-time snapshot of the serving statistics.
-    pub fn metrics(&self) -> ServeMetrics {
-        self.router.metrics_for(DEFAULT_ENDPOINT).expect("default endpoint exists")
-    }
-
-    /// Stop accepting requests, drain every admitted request (each still
-    /// receives its response), join all threads, and return the final
-    /// metrics snapshot.
-    pub fn shutdown(self) -> ServeMetrics {
-        let mut fleet = self.router.shutdown();
-        fleet.models.pop().expect("default endpoint exists")
-    }
-}
-
-/// Client handle of a single-model [`InferenceServer`]: the [`RouterClient`]
-/// API with the model name fixed.
-#[derive(Clone)]
-#[must_use = "a client handle that is never used submits nothing"]
-pub struct ServeClient {
-    inner: RouterClient,
-    model: String,
-}
-
-impl ServeClient {
-    /// Submit a built [`Request`] and return the handle to its response —
-    /// the full lifecycle API (priority, deadline, tag, cancellation).
-    pub fn send(&self, request: Request) -> Result<ResponseHandle, ServeError> {
-        self.inner.send(&self.model, request)
-    }
-
-    /// Enqueue `input` at [`Priority::Interactive`]: a thin wrapper over the
-    /// [`Request`] builder kept so pre-builder callers migrate in one line
-    /// (see [`RouterClient::send`] for input rules).
-    pub fn submit(&self, input: Tensor) -> Result<ResponseHandle, ServeError> {
-        self.send(Request::new(input))
-    }
-
-    /// Enqueue `input` under an explicit priority class: a thin wrapper over
-    /// the [`Request`] builder.
-    pub fn submit_with_priority(
-        &self,
-        input: Tensor,
-        priority: Priority,
-    ) -> Result<ResponseHandle, ServeError> {
-        self.send(Request::new(input).priority(priority))
-    }
-
-    /// Submit and block until the response arrives.
-    pub fn infer(&self, input: Tensor) -> Result<InferResponse, ServeError> {
-        // quadra-analyze: allow(condvar:wait-not-in-loop, ResponseHandle::wait is a one-shot channel join, not a condvar wait)
-        self.submit(input)?.wait()
-    }
-
-    /// Convenience for single samples: wraps a `[C, H, W]` (or `[features]`)
-    /// tensor in a leading sample axis and blocks for the response, whose
-    /// output then has shape `[1, ...]`.
-    pub fn infer_one(&self, sample: &Tensor) -> Result<InferResponse, ServeError> {
-        let mut shape = vec![1];
-        shape.extend_from_slice(sample.shape());
-        let input = sample.reshape(&shape).map_err(|e| ServeError::BadInput(e.to_string()))?;
-        self.infer(input)
+    /// Look `model` up and draw the next request id.
+    fn route(&self, model: &str) -> Result<(&Arc<EndpointShared>, u64), ServeError> {
+        let endpoint =
+            self.endpoints.get(model).ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
+        // quadra-analyze: allow(atomics:relaxed-fetch, request ids are a monotonic counter; no memory is published through them)
+        Ok((endpoint, self.next_id.fetch_add(1, Ordering::Relaxed)))
     }
 }

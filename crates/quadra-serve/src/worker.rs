@@ -4,7 +4,7 @@
 //! applies hot-reloaded state between batches.
 
 use crate::endpoint::EndpointShared;
-use crate::request::{InferResponse, ServeError};
+use crate::request::{InferResponse, ReplySlot, ServeError};
 use crate::scheduler::{self, assemble, Batch};
 use crate::sync::lock_or_recover;
 use quadra_core::MemoryProfiler;
@@ -87,7 +87,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// The worker thread body: pull a batch (blocking until the endpoint has work
 /// and the fair-share gate opens), execute it, settle the service-time books,
-/// repeat until the queue is closed and drained.
+/// answer its requests, repeat until the queue is closed and drained.
 pub(crate) fn run(factory: Arc<ModelFactory>, shared: Arc<EndpointShared>) {
     let mut model = factory();
     let mut version = shared.reload.force_apply(model.as_mut());
@@ -97,13 +97,21 @@ pub(crate) fn run(factory: Arc<ModelFactory>, shared: Arc<EndpointShared>) {
     while let Some((batch, mut guard)) = scheduler::next_batch(&shared) {
         version = shared.reload.apply_if_newer(model.as_mut(), version);
         guard.start_execution();
-        let outcome = execute(model.as_mut(), batch, version, &shared);
+        let (replies, outcome) = execute(model.as_mut(), batch, version, &shared);
         let actual_us = guard.finish();
         shared.metrics.record_service(actual_us);
         if outcome.is_ok() {
             // Feed the batch-cost EWMA from the same settled figure the DRR
             // books use, so estimates and charges can never drift apart.
             shared.record_batch_service(Duration::from_micros(actual_us));
+        }
+        // Answer only once the books are settled. A pushed completion reaches
+        // its caller in microseconds, and the request that caller sends next
+        // can seed a batch on an idle sibling worker at once: its wait budget
+        // is capped by the service EWMA, which must already hold this batch's
+        // cost or the new batch sits out the whole `max_wait`.
+        for (slot, reply) in replies {
+            slot.settle(reply);
         }
         if outcome.is_err() {
             // The replica's caches may be inconsistent after an unwound
@@ -114,20 +122,29 @@ pub(crate) fn run(factory: Arc<ModelFactory>, shared: Arc<EndpointShared>) {
     }
 }
 
-/// Run one batch on `model`, replying to every request. `Err` means the
-/// forward pass panicked and the replica must be rebuilt.
-fn execute(model: &mut dyn Layer, batch: Batch, version: u64, shared: &EndpointShared) -> Result<(), ()> {
+/// A request's reply slot and the answer it is about to be given.
+type Reply = (ReplySlot, Result<InferResponse, ServeError>);
+
+/// Every rider of `batch` answered with `err`.
+fn fail_all(batch: Batch, err: &ServeError) -> Vec<Reply> {
+    batch.requests.into_iter().map(|request| (request.reply, Err(err.clone()))).collect()
+}
+
+/// Run one batch on `model` and prepare every rider's reply for the caller to
+/// deliver. `Err` means the forward pass panicked: rebuild the replica.
+fn execute(
+    model: &mut dyn Layer,
+    batch: Batch,
+    version: u64,
+    shared: &EndpointShared,
+) -> (Vec<Reply>, Result<(), ()>) {
     let (input, counts) = match assemble(&batch.requests) {
         Ok(assembled) => assembled,
         Err(err) => {
             // A malformed batch is a dispatch bug, not a replica fault: answer
             // every rider with the error and keep the replica.
             shared.metrics.record_errors(batch.requests.len());
-            for request in &batch.requests {
-                // quadra-analyze: allow(must_use, a dropped receiver means the client stopped waiting)
-                let _ = request.reply.send(Err(err.clone()));
-            }
-            return Ok(());
+            return (fail_all(batch, &err), Ok(()));
         }
     };
     let batch_samples = batch.samples();
@@ -160,14 +177,13 @@ fn execute(model: &mut dyn Layer, batch: Batch, version: u64, shared: &EndpointS
                     }
                 }
             }
-            // Record before replying so a metrics snapshot taken by a caller
-            // that just received its response always includes it.
             shared.metrics.record_batch(batch_samples, &latencies, attributed.report.peak_activation_bytes);
             if split_errors > 0 {
                 shared.metrics.record_errors(split_errors);
             }
             // Phase 2: consume the requests, moving each tag into its reply.
             let (batch_id, formed_at) = (batch.id, batch.formed_at);
+            let mut replies = Vec::with_capacity(batch.requests.len());
             for (request, outcome) in batch.requests.into_iter().zip(outcomes) {
                 let reply = outcome.map(|rows| InferResponse {
                     id: request.id,
@@ -181,20 +197,14 @@ fn execute(model: &mut dyn Layer, batch: Batch, version: u64, shared: &EndpointS
                     queue_wait: formed_at.duration_since(request.submitted_at),
                     latency: done_at.duration_since(request.submitted_at),
                 });
-                // A dropped receiver just means the client stopped waiting.
-                // quadra-analyze: allow(must_use, a dropped receiver means the client stopped waiting)
-                let _ = request.reply.send(reply);
+                replies.push((request.reply, reply));
             }
-            Ok(())
+            (replies, Ok(()))
         }
         Err(payload) => {
             let message = panic_message(payload);
             shared.metrics.record_errors(batch.requests.len());
-            for request in &batch.requests {
-                // quadra-analyze: allow(must_use, a dropped receiver means the client stopped waiting)
-                let _ = request.reply.send(Err(ServeError::WorkerFailed(message.clone())));
-            }
-            Err(())
+            (fail_all(batch, &ServeError::WorkerFailed(message)), Err(()))
         }
     }
 }

@@ -5,13 +5,21 @@
 
 use quadra_nn::{Layer, Linear, Relu, Sequential};
 use quadra_serve::{
-    AdmissionPolicy, BatchPolicy, InferenceServer, Priority, Router, ServeConfig, ServeError,
+    AdmissionPolicy, BatchPolicy, Priority, Request, Router, ServeConfig, ServeError, ServeMetrics,
 };
 use quadra_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Endpoint name of the single-model routers below.
+const MODEL: &str = "model";
+
+/// Shut a single-endpoint router down and return that endpoint's metrics.
+fn shutdown(router: Router) -> ServeMetrics {
+    router.shutdown().models.remove(0)
+}
 
 fn mlp(seed: u64) -> Sequential {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -55,18 +63,18 @@ fn slow_config(queue_capacity: Option<usize>, max_batch: usize) -> ServeConfig {
 
 #[test]
 fn overload_sheds_with_retry_after_and_serves_admitted() {
-    let server = InferenceServer::start(slow_config(Some(2), 1), || {
-        Box::new(SleepIdentity(Duration::from_millis(20)))
-    })
-    .unwrap();
-    let client = server.client();
+    let router = Router::builder()
+        .endpoint(MODEL, slow_config(Some(2), 1), || Box::new(SleepIdentity(Duration::from_millis(20))))
+        .start()
+        .unwrap();
+    let client = router.client();
 
     // 1 executing + 1 in the batcher's hand + 2 queued = 4 in flight; the
     // rest of a rapid burst must be shed, not buffered.
     let mut pending = Vec::new();
     let mut sheds = 0u64;
     for i in 0..10 {
-        match client.submit(Tensor::full(&[1, 2], i as f32)) {
+        match client.send(MODEL, Request::new(Tensor::full(&[1, 2], i as f32))) {
             Ok(p) => pending.push((i, p)),
             Err(ServeError::Overloaded { retry_after }) => {
                 sheds += 1;
@@ -83,7 +91,7 @@ fn overload_sheds_with_retry_after_and_serves_admitted() {
         let response = p.wait().unwrap();
         assert_eq!(response.output.as_slice(), &[i as f32; 2]);
     }
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert_eq!(metrics.shed_requests, sheds);
     assert_eq!(metrics.completed_requests + metrics.shed_requests, 10);
     assert_eq!(metrics.errored_requests, 0);
@@ -91,16 +99,18 @@ fn overload_sheds_with_retry_after_and_serves_admitted() {
 
 #[test]
 fn interactive_class_is_served_before_queued_batch_class() {
-    let server =
-        InferenceServer::start(slow_config(None, 1), || Box::new(SleepIdentity(Duration::from_millis(10))))
-            .unwrap();
-    let client = server.client();
+    let router = Router::builder()
+        .endpoint(MODEL, slow_config(None, 1), || Box::new(SleepIdentity(Duration::from_millis(10))))
+        .start()
+        .unwrap();
+    let client = router.client();
     let finished: Arc<Mutex<Vec<(Priority, Instant)>>> = Arc::new(Mutex::new(Vec::new()));
 
     // Fill the pipeline with batch-class work...
     let waiters: Vec<_> = (0..6)
         .map(|_| {
-            let p = client.submit_with_priority(Tensor::ones(&[1, 2]), Priority::Batch).unwrap();
+            let p =
+                client.send(MODEL, Request::new(Tensor::ones(&[1, 2])).priority(Priority::Batch)).unwrap();
             let finished = Arc::clone(&finished);
             std::thread::spawn(move || {
                 let response = p.wait().unwrap();
@@ -110,7 +120,7 @@ fn interactive_class_is_served_before_queued_batch_class() {
         .collect();
     // ...then inject one interactive request while the backlog is deep.
     std::thread::sleep(Duration::from_millis(5));
-    let p = client.submit_with_priority(Tensor::ones(&[1, 2]), Priority::Interactive).unwrap();
+    let p = client.send(MODEL, Request::new(Tensor::ones(&[1, 2])).priority(Priority::Interactive)).unwrap();
     let interactive_done = {
         let finished = Arc::clone(&finished);
         std::thread::spawn(move || {
@@ -128,7 +138,7 @@ fn interactive_class_is_served_before_queued_batch_class() {
     let last_batch_at =
         finished.iter().filter(|(c, _)| *c == Priority::Batch).map(|(_, t)| *t).max().unwrap();
     assert!(interactive_at < last_batch_at, "the interactive request must overtake queued batch-class work");
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert_eq!(metrics.completed_interactive, 1);
     assert_eq!(metrics.completed_batch_class, 6);
 }
@@ -146,7 +156,7 @@ fn one_models_full_queue_does_not_block_another() {
     let mut slow_pending = Vec::new();
     let mut saw_shed = false;
     for _ in 0..12 {
-        match client.submit("slow", Tensor::ones(&[1, 2]), Priority::Interactive) {
+        match client.send("slow", Request::new(Tensor::ones(&[1, 2]))) {
             Ok(p) => slow_pending.push(p),
             Err(ServeError::Overloaded { .. }) => {
                 saw_shed = true;
@@ -244,9 +254,11 @@ fn adaptive_wait_budget_converges_under_steady_load() {
         admission: AdmissionPolicy { queue_capacity: None, ..AdmissionPolicy::default() },
         ..ServeConfig::default()
     };
-    let server =
-        InferenceServer::start(config, || Box::new(SleepIdentity(Duration::from_millis(1)))).unwrap();
-    let client = server.client();
+    let router = Router::builder()
+        .endpoint(MODEL, config, || Box::new(SleepIdentity(Duration::from_millis(1))))
+        .start()
+        .unwrap();
+    let client = router.client();
 
     // Steady ~2000 req/s for a while: the budget must settle well below the
     // 25 ms cap (the arrival rate fills batches much faster than that).
@@ -254,7 +266,7 @@ fn adaptive_wait_budget_converges_under_steady_load() {
         let pending: Vec<_> = (0..n)
             .map(|_| {
                 std::thread::sleep(Duration::from_micros(500));
-                client.submit(Tensor::ones(&[1, 2])).unwrap()
+                client.send(MODEL, Request::new(Tensor::ones(&[1, 2]))).unwrap()
             })
             .collect();
         for p in pending {
@@ -262,9 +274,9 @@ fn adaptive_wait_budget_converges_under_steady_load() {
         }
     };
     drive(150);
-    let mid = server.metrics().wait_budget_ms;
+    let mid = router.metrics_for(MODEL).unwrap().wait_budget_ms;
     drive(150);
-    let late = server.metrics().wait_budget_ms;
+    let late = router.metrics_for(MODEL).unwrap().wait_budget_ms;
 
     assert!(mid > 0.0, "budget gauge must be populated");
     assert!(mid < 25.0 * 0.8, "budget must adapt below the cap, got {mid} ms");
@@ -272,7 +284,7 @@ fn adaptive_wait_budget_converges_under_steady_load() {
     // Converged: successive readings stay in the same regime rather than
     // oscillating across the [floor, cap] range.
     assert!((mid - late).abs() < 25.0 * 0.25, "budget did not converge: {mid} ms then {late} ms");
-    let _ = server.shutdown();
+    let _ = shutdown(router);
 }
 
 #[test]
@@ -287,12 +299,12 @@ fn static_wait_budget_stays_at_max_wait() {
         },
         ..ServeConfig::default()
     };
-    let server = InferenceServer::start(config, || Box::new(mlp(0))).unwrap();
-    let client = server.client();
+    let router = Router::builder().endpoint(MODEL, config, || Box::new(mlp(0))).start().unwrap();
+    let client = router.client();
     for _ in 0..20 {
-        let _ = client.infer(Tensor::ones(&[1, 4])).unwrap();
+        let _ = client.infer(MODEL, Tensor::ones(&[1, 4])).unwrap();
     }
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert!((metrics.wait_budget_ms - 3.0).abs() < 1e-9, "static budget is exactly max_wait");
 }
 
@@ -300,32 +312,43 @@ fn static_wait_budget_stays_at_max_wait() {
 fn shutdown_answers_queued_but_undispatched_requests() {
     // A deep queue of slow single-sample batches: most requests still sit in
     // the admission queue when shutdown lands, yet all must be answered.
-    let server = InferenceServer::start(slow_config(Some(64), 1), || {
-        Box::new(SleepIdentity(Duration::from_millis(10)))
-    })
-    .unwrap();
-    let client = server.client();
+    let router = Router::builder()
+        .endpoint(MODEL, slow_config(Some(64), 1), || Box::new(SleepIdentity(Duration::from_millis(10))))
+        .start()
+        .unwrap();
+    let client = router.client();
     let pending: Vec<_> = (0..8)
-        .map(|i| client.submit_with_priority(Tensor::full(&[1, 2], i as f32), Priority::Batch).unwrap())
+        .map(|i| {
+            client
+                .send(MODEL, Request::new(Tensor::full(&[1, 2], i as f32)).priority(Priority::Batch))
+                .unwrap()
+        })
         .collect();
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert_eq!(metrics.completed_requests, 8, "every admitted request drains through shutdown");
     for (i, p) in pending.into_iter().enumerate() {
         let response = p.wait().unwrap();
         assert_eq!(response.output.as_slice(), &[i as f32; 2]);
     }
-    assert_eq!(client.submit(Tensor::ones(&[1, 2])).unwrap_err(), ServeError::ShuttingDown);
+    assert_eq!(
+        client.send(MODEL, Request::new(Tensor::ones(&[1, 2]))).unwrap_err(),
+        ServeError::ShuttingDown
+    );
 }
 
 #[test]
 fn response_carries_model_name_and_priority() {
-    let server = InferenceServer::start(ServeConfig::default(), || Box::new(mlp(0))).unwrap();
-    let client = server.client();
-    let response =
-        client.submit_with_priority(Tensor::ones(&[1, 4]), Priority::Batch).unwrap().wait().unwrap();
-    assert_eq!(response.model, quadra_serve::DEFAULT_ENDPOINT);
+    let router =
+        Router::builder().endpoint(MODEL, ServeConfig::default(), || Box::new(mlp(0))).start().unwrap();
+    let client = router.client();
+    let response = client
+        .send(MODEL, Request::new(Tensor::ones(&[1, 4])).priority(Priority::Batch))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(response.model, MODEL);
     assert_eq!(response.priority, Priority::Batch);
-    let metrics = server.shutdown();
-    assert_eq!(metrics.model, quadra_serve::DEFAULT_ENDPOINT);
+    let metrics = shutdown(router);
+    assert_eq!(metrics.model, MODEL);
     assert_eq!(metrics.completed_batch_class, 1);
 }

@@ -3,11 +3,19 @@
 //! mid-stream, worker panics, and input validation.
 
 use quadra_nn::{Layer, Linear, Relu, Sequential, StateDict};
-use quadra_serve::{BatchPolicy, InferenceServer, ServeConfig, ServeError};
+use quadra_serve::{BatchPolicy, Request, Router, ServeConfig, ServeError, ServeMetrics};
 use quadra_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
+
+/// Endpoint name of the single-model routers below.
+const MODEL: &str = "model";
+
+/// Shut a single-endpoint router down and return that endpoint's metrics.
+fn shutdown(router: Router) -> ServeMetrics {
+    router.shutdown().models.remove(0)
+}
 
 fn mlp(seed: u64) -> Sequential {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -18,8 +26,8 @@ fn mlp(seed: u64) -> Sequential {
     ])
 }
 
-fn mlp_server(config: ServeConfig, seed: u64) -> InferenceServer {
-    InferenceServer::start(config, move || Box::new(mlp(seed))).unwrap()
+fn mlp_server(config: ServeConfig, seed: u64) -> Router {
+    Router::builder().endpoint(MODEL, config, move || Box::new(mlp(seed))).start().unwrap()
 }
 
 #[test]
@@ -33,15 +41,15 @@ fn idle_queue_blocks_then_serves() {
         },
         ..ServeConfig::default()
     };
-    let server = mlp_server(config, 0);
-    let client = server.client();
+    let router = mlp_server(config, 0);
+    let client = router.client();
     // Let the batcher sit on an empty queue well past max_wait: nothing may
     // fire, spin, or wedge while there are no requests.
     std::thread::sleep(Duration::from_millis(30));
-    let response = client.infer(Tensor::ones(&[1, 4])).unwrap();
+    let response = client.infer(MODEL, Tensor::ones(&[1, 4])).unwrap();
     assert_eq!(response.output.shape(), &[1, 3]);
     assert_eq!(response.batch_samples, 1);
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert_eq!(metrics.completed_requests, 1);
     assert_eq!(metrics.batches, 1);
     assert_eq!(metrics.batch_occupancy[0], 1);
@@ -58,12 +66,12 @@ fn oversized_request_forms_its_own_batch() {
         },
         ..ServeConfig::default()
     };
-    let server = mlp_server(config, 0);
-    let client = server.client();
-    let response = client.infer(Tensor::ones(&[10, 4])).unwrap();
+    let router = mlp_server(config, 0);
+    let client = router.client();
+    let response = client.infer(MODEL, Tensor::ones(&[10, 4])).unwrap();
     assert_eq!(response.output.shape(), &[10, 3]);
     assert_eq!(response.batch_samples, 10);
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert_eq!(metrics.completed_samples, 10);
     // The oversized batch lands in the histogram's last bucket.
     assert_eq!(metrics.batch_occupancy, vec![0, 0, 0, 1]);
@@ -98,19 +106,23 @@ fn shutdown_answers_in_flight_requests() {
         },
         ..ServeConfig::default()
     };
-    let server = InferenceServer::start(config, || Box::new(SlowIdentity)).unwrap();
-    let client = server.client();
-    let pending: Vec<_> = (0..6).map(|i| client.submit(Tensor::full(&[1, 2], i as f32)).unwrap()).collect();
+    let router = Router::builder().endpoint(MODEL, config, || Box::new(SlowIdentity)).start().unwrap();
+    let client = router.client();
+    let pending: Vec<_> =
+        (0..6).map(|i| client.send(MODEL, Request::new(Tensor::full(&[1, 2], i as f32))).unwrap()).collect();
     // Shut down while most of those requests still sit in the queue; every
     // one must still be answered before the threads exit.
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert_eq!(metrics.completed_requests, 6);
     for (i, p) in pending.into_iter().enumerate() {
         let response = p.wait().unwrap();
         assert_eq!(response.output.as_slice(), &[i as f32; 2]);
     }
     // The queue is gone: new submissions fail fast instead of hanging.
-    assert_eq!(client.submit(Tensor::ones(&[1, 2])).unwrap_err(), ServeError::ShuttingDown);
+    assert_eq!(
+        client.send(MODEL, Request::new(Tensor::ones(&[1, 2]))).unwrap_err(),
+        ServeError::ShuttingDown
+    );
 }
 
 #[test]
@@ -124,40 +136,40 @@ fn hot_reload_mid_stream_switches_versions() {
         },
         ..ServeConfig::default()
     };
-    let server = mlp_server(config, 0);
-    let client = server.client();
+    let router = mlp_server(config, 0);
+    let client = router.client();
     let x = Tensor::linspace(-1.0, 1.0, 4).reshape(&[1, 4]).unwrap();
 
-    let before = client.infer(x.clone()).unwrap();
+    let before = client.infer(MODEL, x.clone()).unwrap();
     assert_eq!(before.model_version, 0);
     assert_eq!(before.output.as_slice(), mlp(0).forward(&x, false).as_slice());
 
     // Reload with a differently-seeded model's checkpoint mid-stream.
     let mut retrained = mlp(1);
-    let version = server.reload(StateDict::from_layer(&retrained)).unwrap();
+    let version = router.reload(MODEL, StateDict::from_layer(&retrained)).unwrap();
     assert_eq!(version, 1);
-    assert_eq!(server.version(), 1);
+    assert_eq!(router.version(MODEL).unwrap(), 1);
 
-    let after = client.infer(x.clone()).unwrap();
+    let after = client.infer(MODEL, x.clone()).unwrap();
     assert_eq!(after.model_version, 1, "post-reload responses must carry the new version");
     assert_eq!(after.output.as_slice(), retrained.forward(&x, false).as_slice());
     assert_ne!(before.output.as_slice(), after.output.as_slice());
 
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert_eq!(metrics.reloads, 1);
     assert_eq!(metrics.model_version, 1);
 }
 
 #[test]
 fn incompatible_reload_is_rejected_and_serving_continues() {
-    let server = mlp_server(ServeConfig::default(), 0);
-    let client = server.client();
+    let router = mlp_server(ServeConfig::default(), 0);
+    let client = router.client();
     let mut rng = StdRng::seed_from_u64(9);
     let wrong = Sequential::new(vec![Box::new(Linear::new(5, 3, true, &mut rng)) as Box<dyn Layer>]);
-    let err = server.reload(StateDict::from_layer(&wrong)).unwrap_err();
+    let err = router.reload(MODEL, StateDict::from_layer(&wrong)).unwrap_err();
     assert!(matches!(err, ServeError::InvalidState(_)), "{:?}", err);
-    assert_eq!(server.version(), 0, "failed reload must not bump the version");
-    let response = client.infer(Tensor::ones(&[1, 4])).unwrap();
+    assert_eq!(router.version(MODEL).unwrap(), 0, "failed reload must not bump the version");
+    let response = client.infer(MODEL, Tensor::ones(&[1, 4])).unwrap();
     assert_eq!(response.model_version, 0);
 }
 
@@ -172,28 +184,31 @@ fn worker_panic_reports_error_and_pool_recovers() {
         },
         ..ServeConfig::default()
     };
-    let server = mlp_server(config, 0);
-    let client = server.client();
+    let router = mlp_server(config, 0);
+    let client = router.client();
     // 5 features into a 4-feature Linear: the layer asserts, the worker
     // catches the unwind, reports it, rebuilds its replica, and keeps going.
-    let err = client.infer(Tensor::ones(&[1, 5])).unwrap_err();
+    let err = client.infer(MODEL, Tensor::ones(&[1, 5])).unwrap_err();
     assert!(matches!(err, ServeError::WorkerFailed(_)), "{:?}", err);
-    let response = client.infer(Tensor::ones(&[1, 4])).unwrap();
+    let response = client.infer(MODEL, Tensor::ones(&[1, 4])).unwrap();
     assert_eq!(response.output.shape(), &[1, 3]);
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert_eq!(metrics.errored_requests, 1);
     assert_eq!(metrics.completed_requests, 1);
 }
 
 #[test]
 fn invalid_inputs_are_rejected_before_queueing() {
-    let server = mlp_server(ServeConfig::default(), 0);
-    let client = server.client();
-    assert!(matches!(client.submit(Tensor::from_slice(&[1.0, 2.0])), Err(ServeError::BadInput(_))));
-    assert!(matches!(client.submit(Tensor::zeros(&[0, 4])), Err(ServeError::BadInput(_))));
+    let router = mlp_server(ServeConfig::default(), 0);
+    let client = router.client();
+    assert!(matches!(
+        client.send(MODEL, Request::new(Tensor::from_slice(&[1.0, 2.0]))),
+        Err(ServeError::BadInput(_))
+    ));
+    assert!(matches!(client.send(MODEL, Request::new(Tensor::zeros(&[0, 4]))), Err(ServeError::BadInput(_))));
     // A config without workers is refused outright.
     let bad = ServeConfig { workers: 0, ..ServeConfig::default() };
-    assert!(InferenceServer::start(bad, || Box::new(mlp(0))).is_err());
+    assert!(Router::builder().endpoint(MODEL, bad, || Box::new(mlp(0))).start().is_err());
 }
 
 #[test]
@@ -208,43 +223,46 @@ fn requests_coalesce_into_shared_batches() {
         },
         ..ServeConfig::default()
     };
-    let server = InferenceServer::start(config, || {
-        Box::new(Sequential::new(vec![Box::new(SlowIdentity) as Box<dyn Layer>]))
-    })
-    .unwrap();
-    let client = server.client();
+    let router = Router::builder()
+        .endpoint(MODEL, config, || Box::new(Sequential::new(vec![Box::new(SlowIdentity) as Box<dyn Layer>])))
+        .start()
+        .unwrap();
+    let client = router.client();
     // First request occupies the worker; the next four arrive while it runs
     // and must ride one coalesced batch.
-    let warmup = client.submit(Tensor::ones(&[1, 2])).unwrap();
+    let warmup = client.send(MODEL, Request::new(Tensor::ones(&[1, 2]))).unwrap();
     std::thread::sleep(Duration::from_millis(5));
-    let pending: Vec<_> = (0..4).map(|_| client.submit(Tensor::ones(&[1, 2])).unwrap()).collect();
+    let pending: Vec<_> =
+        (0..4).map(|_| client.send(MODEL, Request::new(Tensor::ones(&[1, 2]))).unwrap()).collect();
     let _ = warmup.wait().unwrap();
     let batch_sizes: Vec<usize> = pending.into_iter().map(|p| p.wait().unwrap().batch_samples).collect();
     assert!(batch_sizes.iter().any(|&b| b > 1), "expected coalescing, saw batch sizes {:?}", batch_sizes);
-    let _ = server.shutdown();
+    let _ = shutdown(router);
 }
 
-fn identity_server(policy: BatchPolicy) -> InferenceServer {
-    InferenceServer::start(ServeConfig { workers: 1, policy, ..ServeConfig::default() }, || {
-        Box::new(Sequential::new(vec![Box::new(SlowIdentity) as Box<dyn Layer>]))
-    })
-    .unwrap()
+fn identity_server(policy: BatchPolicy) -> Router {
+    Router::builder()
+        .endpoint(MODEL, ServeConfig { workers: 1, policy, ..ServeConfig::default() }, || {
+            Box::new(Sequential::new(vec![Box::new(SlowIdentity) as Box<dyn Layer>]))
+        })
+        .start()
+        .unwrap()
 }
 
 #[test]
 fn mixed_spatial_sizes_pad_only_when_opted_in() {
     // GlobalAvgPool-free identity over NCHW: padding is visible in the output.
-    let server = identity_server(BatchPolicy {
+    let router = identity_server(BatchPolicy {
         max_batch_size: 4,
         max_wait: Duration::from_millis(50),
         pad_mixed_spatial: true,
         ..BatchPolicy::default()
     });
-    let client = server.client();
-    let warmup = client.submit(Tensor::ones(&[1, 1, 1, 1])).unwrap();
+    let client = router.client();
+    let warmup = client.send(MODEL, Request::new(Tensor::ones(&[1, 1, 1, 1]))).unwrap();
     std::thread::sleep(Duration::from_millis(5));
-    let small = client.submit(Tensor::full(&[1, 1, 1, 2], 2.0)).unwrap();
-    let large = client.submit(Tensor::full(&[1, 1, 2, 2], 3.0)).unwrap();
+    let small = client.send(MODEL, Request::new(Tensor::full(&[1, 1, 1, 2], 2.0))).unwrap();
+    let large = client.send(MODEL, Request::new(Tensor::full(&[1, 1, 2, 2], 3.0))).unwrap();
     let _ = warmup.wait().unwrap();
     let small = small.wait().unwrap();
     let large = large.wait().unwrap();
@@ -257,24 +275,24 @@ fn mixed_spatial_sizes_pad_only_when_opted_in() {
         assert_eq!(small.output.shape()[0], 1);
     }
     assert_eq!(large.output.as_slice(), &[3.0; 4]);
-    let _ = server.shutdown();
+    let _ = shutdown(router);
 }
 
 #[test]
 fn mixed_spatial_sizes_never_share_a_batch_by_default() {
     // Without the opt-in, a request's prediction must not depend on what it
     // rides with: mixed sizes form separate batches and nothing is padded.
-    let server = identity_server(BatchPolicy {
+    let router = identity_server(BatchPolicy {
         max_batch_size: 4,
         max_wait: Duration::from_millis(50),
         pad_mixed_spatial: false,
         ..BatchPolicy::default()
     });
-    let client = server.client();
-    let warmup = client.submit(Tensor::ones(&[1, 1, 1, 1])).unwrap();
+    let client = router.client();
+    let warmup = client.send(MODEL, Request::new(Tensor::ones(&[1, 1, 1, 1]))).unwrap();
     std::thread::sleep(Duration::from_millis(5));
-    let small = client.submit(Tensor::full(&[1, 1, 1, 2], 2.0)).unwrap();
-    let large = client.submit(Tensor::full(&[1, 1, 2, 2], 3.0)).unwrap();
+    let small = client.send(MODEL, Request::new(Tensor::full(&[1, 1, 1, 2], 2.0))).unwrap();
+    let large = client.send(MODEL, Request::new(Tensor::full(&[1, 1, 2, 2], 3.0))).unwrap();
     let _ = warmup.wait().unwrap();
     let small = small.wait().unwrap();
     let large = large.wait().unwrap();
@@ -283,5 +301,5 @@ fn mixed_spatial_sizes_never_share_a_batch_by_default() {
     assert_eq!(small.output.as_slice(), &[2.0, 2.0]);
     assert_eq!(large.batch_samples, 1);
     assert_eq!(large.output.as_slice(), &[3.0; 4]);
-    let _ = server.shutdown();
+    let _ = shutdown(router);
 }

@@ -5,12 +5,20 @@
 
 use quadra_nn::{Layer, Linear, Relu, Sequential};
 use quadra_serve::{
-    AdmissionPolicy, BatchPolicy, InferenceServer, Priority, Request, Router, ServeConfig, ServeError,
+    AdmissionPolicy, BatchPolicy, Priority, Request, Router, ServeConfig, ServeError, ServeMetrics,
 };
 use quadra_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
+
+/// Endpoint name of the single-model routers below.
+const MODEL: &str = "model";
+
+/// Shut a single-endpoint router down and return that endpoint's metrics.
+fn shutdown(router: Router) -> ServeMetrics {
+    router.shutdown().models.remove(0)
+}
 
 fn mlp(seed: u64) -> Sequential {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -65,96 +73,100 @@ impl Layer for BusyIdentity {
     }
 }
 
-fn sleep_server(service: Duration, batch_aging: u32) -> InferenceServer {
-    InferenceServer::start(
-        ServeConfig {
-            workers: 1,
-            policy: BatchPolicy {
-                max_batch_size: 1,
-                max_wait: Duration::from_millis(1),
-                ..BatchPolicy::default()
+fn sleep_server(service: Duration, batch_aging: u32) -> Router {
+    Router::builder()
+        .endpoint(
+            MODEL,
+            ServeConfig {
+                workers: 1,
+                policy: BatchPolicy {
+                    max_batch_size: 1,
+                    max_wait: Duration::from_millis(1),
+                    ..BatchPolicy::default()
+                },
+                admission: AdmissionPolicy { queue_capacity: None, batch_aging },
+                ..ServeConfig::default()
             },
-            admission: AdmissionPolicy { queue_capacity: None, batch_aging },
-            ..ServeConfig::default()
-        },
-        move || Box::new(SleepIdentity(service)),
-    )
-    .unwrap()
+            move || Box::new(SleepIdentity(service)),
+        )
+        .start()
+        .unwrap()
 }
 
 #[test]
 fn cancel_while_queued_sheds_with_cancelled() {
-    let server = sleep_server(Duration::from_millis(40), 0);
-    let client = server.client();
+    let router = sleep_server(Duration::from_millis(40), 0);
+    let client = router.client();
     // Occupy the single worker, then queue the victim behind it.
-    let warmup = client.submit(Tensor::ones(&[1, 2])).unwrap();
+    let warmup = client.send(MODEL, Request::new(Tensor::ones(&[1, 2]))).unwrap();
     std::thread::sleep(Duration::from_millis(5));
-    let victim = client.send(Request::new(Tensor::full(&[1, 2], 7.0))).unwrap();
+    let victim = client.send(MODEL, Request::new(Tensor::full(&[1, 2], 7.0))).unwrap();
     victim.cancel();
     assert_eq!(victim.wait().unwrap_err(), ServeError::Cancelled);
     let _ = warmup.wait().unwrap();
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert_eq!(metrics.cancelled_requests, 1);
     assert_eq!(metrics.completed_requests, 1, "only the warmup was served");
 }
 
 #[test]
 fn cancel_mid_batch_is_a_noop() {
-    let server = sleep_server(Duration::from_millis(40), 0);
-    let client = server.client();
-    let handle = client.send(Request::new(Tensor::full(&[1, 2], 3.0))).unwrap();
+    let router = sleep_server(Duration::from_millis(40), 0);
+    let client = router.client();
+    let handle = client.send(MODEL, Request::new(Tensor::full(&[1, 2], 3.0))).unwrap();
     // The idle worker pulls the request immediately; by now it is mid
     // forward. Cancelling a dispatched request must not abort it.
     std::thread::sleep(Duration::from_millis(10));
     handle.cancel();
     let response = handle.wait().unwrap();
     assert_eq!(response.output.as_slice(), &[3.0, 3.0]);
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert_eq!(metrics.cancelled_requests, 0, "a dispatched request is never counted as cancelled");
     assert_eq!(metrics.completed_requests, 1);
 }
 
 #[test]
 fn cancel_after_completion_still_returns_the_response() {
-    let server = sleep_server(Duration::from_millis(1), 0);
-    let client = server.client();
-    let first = client.send(Request::new(Tensor::full(&[1, 2], 5.0))).unwrap();
+    let router = sleep_server(Duration::from_millis(1), 0);
+    let client = router.client();
+    let first = client.send(MODEL, Request::new(Tensor::full(&[1, 2], 5.0))).unwrap();
     // One worker, FIFO seeds: once this blocking request is answered, the
     // first one has completed too and its response sits in the channel.
-    let _ = client.infer(Tensor::ones(&[1, 2])).unwrap();
+    let _ = client.infer(MODEL, Tensor::ones(&[1, 2])).unwrap();
     first.cancel();
     let response = first.wait().unwrap();
     assert_eq!(response.output.as_slice(), &[5.0, 5.0]);
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert_eq!(metrics.cancelled_requests, 0);
 }
 
 #[test]
 fn deadline_expiry_sheds_requests_already_queued() {
-    let server = sleep_server(Duration::from_millis(40), 0);
-    let client = server.client();
+    let router = sleep_server(Duration::from_millis(40), 0);
+    let client = router.client();
     // Occupy the worker for 40 ms, then queue a request that gives up after
     // 5 ms: by dispatch time it has expired and must be shed, not served.
-    let warmup = client.submit(Tensor::ones(&[1, 2])).unwrap();
+    let warmup = client.send(MODEL, Request::new(Tensor::ones(&[1, 2]))).unwrap();
     std::thread::sleep(Duration::from_millis(5));
     let hopeless =
-        client.send(Request::new(Tensor::ones(&[1, 2])).deadline(Duration::from_millis(5))).unwrap();
+        client.send(MODEL, Request::new(Tensor::ones(&[1, 2])).deadline(Duration::from_millis(5))).unwrap();
     // A generous deadline on a queued request is honoured normally.
-    let patient =
-        client.send(Request::new(Tensor::full(&[1, 2], 2.0)).deadline(Duration::from_secs(30))).unwrap();
+    let patient = client
+        .send(MODEL, Request::new(Tensor::full(&[1, 2], 2.0)).deadline(Duration::from_secs(30)))
+        .unwrap();
     assert_eq!(hopeless.wait().unwrap_err(), ServeError::DeadlineExceeded);
     assert_eq!(patient.wait().unwrap().output.as_slice(), &[2.0, 2.0]);
     let _ = warmup.wait().unwrap();
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert_eq!(metrics.deadline_missed_requests, 1);
     assert_eq!(metrics.completed_requests, 2);
 }
 
 #[test]
 fn try_wait_polls_without_blocking_and_settles_once() {
-    let server = sleep_server(Duration::from_millis(30), 0);
-    let client = server.client();
-    let mut handle = client.send(Request::new(Tensor::full(&[1, 2], 9.0))).unwrap();
+    let router = sleep_server(Duration::from_millis(30), 0);
+    let client = router.client();
+    let mut handle = client.send(MODEL, Request::new(Tensor::full(&[1, 2], 9.0))).unwrap();
     assert!(handle.try_wait().is_none(), "the request is still in flight");
     let deadline = Instant::now() + Duration::from_secs(10);
     let response = loop {
@@ -165,43 +177,46 @@ fn try_wait_polls_without_blocking_and_settles_once() {
         std::thread::sleep(Duration::from_millis(2));
     };
     assert_eq!(response.output.as_slice(), &[9.0, 9.0]);
-    let _ = server.shutdown();
+    let _ = shutdown(router);
 }
 
 #[test]
 fn wait_timeout_leaves_the_handle_usable() {
-    let server = sleep_server(Duration::from_millis(30), 0);
-    let client = server.client();
-    let mut handle = client.send(Request::new(Tensor::full(&[1, 2], 4.0))).unwrap();
+    let router = sleep_server(Duration::from_millis(30), 0);
+    let client = router.client();
+    let mut handle = client.send(MODEL, Request::new(Tensor::full(&[1, 2], 4.0))).unwrap();
     assert_eq!(handle.wait_timeout(Duration::from_millis(1)).unwrap_err(), ServeError::Timeout);
     // The timeout did not consume the request: a later bounded wait succeeds.
     let response = handle.wait_timeout(Duration::from_secs(10)).unwrap();
     assert_eq!(response.output.as_slice(), &[4.0, 4.0]);
-    let _ = server.shutdown();
+    let _ = shutdown(router);
 }
 
 #[test]
 fn responses_carry_batch_id_and_tag_provenance() {
-    let server = InferenceServer::start(
-        ServeConfig {
-            workers: 1,
-            policy: BatchPolicy {
-                max_batch_size: 8,
-                max_wait: Duration::from_millis(40),
-                ..BatchPolicy::default()
+    let router = Router::builder()
+        .endpoint(
+            MODEL,
+            ServeConfig {
+                workers: 1,
+                policy: BatchPolicy {
+                    max_batch_size: 8,
+                    max_wait: Duration::from_millis(40),
+                    ..BatchPolicy::default()
+                },
+                ..ServeConfig::default()
             },
-            ..ServeConfig::default()
-        },
-        || Box::new(SleepIdentity(Duration::from_millis(25))),
-    )
-    .unwrap();
-    let client = server.client();
+            || Box::new(SleepIdentity(Duration::from_millis(25))),
+        )
+        .start()
+        .unwrap();
+    let client = router.client();
     // Occupy the worker with an oversized request (dispatched immediately,
     // no fill wait), then queue two requests that ride one batch.
-    let warmup = client.send(Request::new(Tensor::ones(&[8, 2])).tag("warmup")).unwrap();
+    let warmup = client.send(MODEL, Request::new(Tensor::ones(&[8, 2])).tag("warmup")).unwrap();
     std::thread::sleep(Duration::from_millis(5));
-    let a = client.send(Request::new(Tensor::full(&[1, 2], 1.0)).tag("rider-a")).unwrap();
-    let b = client.send(Request::new(Tensor::full(&[1, 2], 2.0))).unwrap();
+    let a = client.send(MODEL, Request::new(Tensor::full(&[1, 2], 1.0)).tag("rider-a")).unwrap();
+    let b = client.send(MODEL, Request::new(Tensor::full(&[1, 2], 2.0))).unwrap();
     let warmup = warmup.wait().unwrap();
     let a = a.wait().unwrap();
     let b = b.wait().unwrap();
@@ -213,7 +228,7 @@ fn responses_carry_batch_id_and_tag_provenance() {
         assert_eq!(a.batch_id, b.batch_id, "coalesced requests report the same batch id");
     }
     assert!(a.queue_wait <= a.latency, "queue wait is a component of latency");
-    let _ = server.shutdown();
+    let _ = shutdown(router);
 }
 
 #[test]
@@ -221,33 +236,38 @@ fn tight_deadline_request_rides_the_earlier_batch() {
     // EDF slack ordering inside the admission queue: with a 2-slot batch, the
     // seed takes exactly one rider. FIFO fill would pick B (it arrived first);
     // EDF must pick C, whose deadline is tight, leaving B to the next batch.
-    let server = InferenceServer::start(
-        ServeConfig {
-            workers: 1,
-            policy: BatchPolicy {
-                max_batch_size: 2,
-                max_wait: Duration::from_millis(1),
-                ..BatchPolicy::default()
+    let router = Router::builder()
+        .endpoint(
+            MODEL,
+            ServeConfig {
+                workers: 1,
+                policy: BatchPolicy {
+                    max_batch_size: 2,
+                    max_wait: Duration::from_millis(1),
+                    ..BatchPolicy::default()
+                },
+                ..ServeConfig::default()
             },
-            ..ServeConfig::default()
-        },
-        || Box::new(SleepIdentity(Duration::from_millis(40))),
-    )
-    .unwrap();
-    let client = server.client();
+            || Box::new(SleepIdentity(Duration::from_millis(40))),
+        )
+        .start()
+        .unwrap();
+    let client = router.client();
     // Occupy the single worker so the riders queue up behind it.
-    let warmup = client.submit(Tensor::ones(&[1, 2])).unwrap();
+    let warmup = client.send(MODEL, Request::new(Tensor::ones(&[1, 2]))).unwrap();
     std::thread::sleep(Duration::from_millis(10));
-    let a = client.send(Request::new(Tensor::full(&[1, 2], 1.0))).unwrap();
-    let b = client.send(Request::new(Tensor::full(&[1, 2], 2.0))).unwrap();
-    let c = client.send(Request::new(Tensor::full(&[1, 2], 3.0)).deadline(Duration::from_secs(10))).unwrap();
+    let a = client.send(MODEL, Request::new(Tensor::full(&[1, 2], 1.0))).unwrap();
+    let b = client.send(MODEL, Request::new(Tensor::full(&[1, 2], 2.0))).unwrap();
+    let c = client
+        .send(MODEL, Request::new(Tensor::full(&[1, 2], 3.0)).deadline(Duration::from_secs(10)))
+        .unwrap();
     let _ = warmup.wait().unwrap();
     let a = a.wait().unwrap();
     let b = b.wait().unwrap();
     let c = c.wait().unwrap();
     assert_eq!(c.batch_id, a.batch_id, "the deadlined request rides the seed's batch");
     assert!(b.batch_id > a.batch_id, "the undeadlined rider waits for the next batch");
-    let _ = server.shutdown();
+    let _ = shutdown(router);
 }
 
 #[test]
@@ -256,13 +276,15 @@ fn batch_class_is_never_fully_starved_under_interactive_backlog() {
     // batch class dead last. With the aging credit (every 3rd seed at most),
     // batch-class work is dispatched well before the interactive backlog
     // drains — visible deterministically through the monotone batch ids.
-    let server = sleep_server(Duration::from_millis(2), 2);
-    let client = server.client();
+    let router = sleep_server(Duration::from_millis(2), 2);
+    let client = router.client();
     let interactive: Vec<_> = (0..30)
-        .map(|_| client.submit_with_priority(Tensor::ones(&[1, 2]), Priority::Interactive).unwrap())
+        .map(|_| {
+            client.send(MODEL, Request::new(Tensor::ones(&[1, 2])).priority(Priority::Interactive)).unwrap()
+        })
         .collect();
     let aged: Vec<_> = (0..2)
-        .map(|_| client.submit_with_priority(Tensor::ones(&[1, 2]), Priority::Batch).unwrap())
+        .map(|_| client.send(MODEL, Request::new(Tensor::ones(&[1, 2])).priority(Priority::Batch)).unwrap())
         .collect();
     let last_interactive_batch_id =
         interactive.into_iter().map(|p| p.wait().unwrap().batch_id).max().unwrap();
@@ -276,7 +298,7 @@ fn batch_class_is_never_fully_starved_under_interactive_backlog() {
             last_interactive_batch_id
         );
     }
-    let metrics = server.shutdown();
+    let metrics = shutdown(router);
     assert_eq!(metrics.completed_batch_class, 2);
 }
 
@@ -284,15 +306,17 @@ fn batch_class_is_never_fully_starved_under_interactive_backlog() {
 fn strict_priority_without_aging_drains_batch_class_last() {
     // The control for the aging test: batch_aging = 0 restores PR-4 strict
     // priority, so the queued batch-class requests get the highest batch ids.
-    let server = sleep_server(Duration::from_millis(2), 0);
-    let client = server.client();
-    let warmup = client.submit(Tensor::ones(&[1, 2])).unwrap();
+    let router = sleep_server(Duration::from_millis(2), 0);
+    let client = router.client();
+    let warmup = client.send(MODEL, Request::new(Tensor::ones(&[1, 2]))).unwrap();
     std::thread::sleep(Duration::from_millis(1));
     let starved: Vec<_> = (0..2)
-        .map(|_| client.submit_with_priority(Tensor::ones(&[1, 2]), Priority::Batch).unwrap())
+        .map(|_| client.send(MODEL, Request::new(Tensor::ones(&[1, 2])).priority(Priority::Batch)).unwrap())
         .collect();
     let interactive: Vec<_> = (0..20)
-        .map(|_| client.submit_with_priority(Tensor::ones(&[1, 2]), Priority::Interactive).unwrap())
+        .map(|_| {
+            client.send(MODEL, Request::new(Tensor::ones(&[1, 2])).priority(Priority::Interactive)).unwrap()
+        })
         .collect();
     let _ = warmup.wait().unwrap();
     let last_interactive_batch_id =
@@ -304,7 +328,7 @@ fn strict_priority_without_aging_drains_batch_class_last() {
             "under strict priority the batch class drains only after the interactive backlog"
         );
     }
-    let _ = server.shutdown();
+    let _ = shutdown(router);
 }
 
 #[test]

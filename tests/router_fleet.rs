@@ -9,7 +9,7 @@
 use quadralib::core::{build_model, ModelConfig};
 use quadralib::models::{mobilenet_v1_config, resnet20_config};
 use quadralib::nn::{Layer, StateDict};
-use quadralib::serve::{BatchPolicy, Priority, Router, ServeConfig, ServeError};
+use quadralib::serve::{BatchPolicy, Priority, Request, Router, ServeConfig, ServeError};
 use quadralib::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,7 +67,11 @@ fn router_fleet(image: usize, n_serve: usize) {
             std::thread::spawn(move || {
                 let priority = if t == 0 { Priority::Interactive } else { Priority::Batch };
                 for (i, x) in inputs.iter().enumerate() {
-                    let response = client.submit(name, x.clone(), priority).unwrap().wait().unwrap();
+                    let response = client
+                        .send(name, Request::new(x.clone()).priority(priority))
+                        .unwrap()
+                        .wait()
+                        .unwrap();
                     assert_eq!(response.model, name);
                     assert_eq!(response.model_version, 0);
                     assert_eq!(

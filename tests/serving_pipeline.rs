@@ -12,10 +12,13 @@
 use quadralib::core::{build_model, LayerSpec, ModelConfig};
 use quadralib::data::ShapeImageDataset;
 use quadralib::nn::{ConstantLr, CrossEntropyLoss, Layer, Sgd, StateDict, Trainer, TrainerConfig};
-use quadralib::serve::{BatchPolicy, InferenceServer, ServeConfig};
+use quadralib::serve::{BatchPolicy, Request, Router, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
+
+/// Endpoint name the toy model is served under.
+const MODEL: &str = "toy";
 
 fn toy_config() -> ModelConfig {
     ModelConfig::new(
@@ -85,34 +88,38 @@ fn serving_pipeline(n_train: usize, epochs: usize, n_serve: usize) {
 
     // 4. Serve from a *differently initialised* replica pool, hot-reloading
     //    the trained checkpoint into it.
-    let server = InferenceServer::start(
-        ServeConfig {
-            workers: 2,
-            policy: BatchPolicy {
-                max_batch_size: 4,
-                max_wait: Duration::from_millis(2),
-                ..BatchPolicy::default()
+    let router = Router::builder()
+        .endpoint(
+            MODEL,
+            ServeConfig {
+                workers: 2,
+                policy: BatchPolicy {
+                    max_batch_size: 4,
+                    max_wait: Duration::from_millis(2),
+                    ..BatchPolicy::default()
+                },
+                ..ServeConfig::default()
             },
-            ..ServeConfig::default()
-        },
-        move || Box::new(build_model(&toy_config(), &mut StdRng::seed_from_u64(99))),
-    )
-    .unwrap();
-    let client = server.client();
+            move || Box::new(build_model(&toy_config(), &mut StdRng::seed_from_u64(99))),
+        )
+        .start()
+        .unwrap();
+    let client = router.client();
 
     // Fresh factory weights (version 0) must NOT match the trained model —
     // otherwise the reload below would prove nothing.
-    let fresh = client.infer(eval.images.narrow(0, 0, 1).unwrap()).unwrap();
+    let fresh = client.infer(MODEL, eval.images.narrow(0, 0, 1).unwrap()).unwrap();
     assert_eq!(fresh.model_version, 0);
     assert_ne!(fresh.output.as_slice(), expected[0].as_slice());
 
-    let version = server.reload(restored).unwrap();
+    let version = router.reload(MODEL, restored).unwrap();
     assert_eq!(version, 1);
 
     // 5a. Concurrent single-sample clients: batched serving must reproduce
     //     the direct forwards bit for bit.
-    let pending: Vec<_> =
-        (0..n_serve).map(|i| client.submit(eval.images.narrow(0, i, 1).unwrap()).unwrap()).collect();
+    let pending: Vec<_> = (0..n_serve)
+        .map(|i| client.send(MODEL, Request::new(eval.images.narrow(0, i, 1).unwrap())).unwrap())
+        .collect();
     for (i, p) in pending.into_iter().enumerate() {
         let response = p.wait().unwrap();
         assert_eq!(response.model_version, 1);
@@ -128,11 +135,12 @@ fn serving_pipeline(n_train: usize, epochs: usize, n_serve: usize) {
     // 5b. A single multi-sample request (an oversized batch) must match the
     //     direct batch forward exactly as well.
     let direct_batch = trained.forward(&eval.images, false);
-    let batched = client.infer(eval.images.clone()).unwrap();
+    let batched = client.infer(MODEL, eval.images.clone()).unwrap();
     assert_eq!(batched.batch_samples, n_serve);
     assert_eq!(batched.output.as_slice(), direct_batch.as_slice());
 
-    let metrics = server.shutdown();
+    let fleet = router.shutdown();
+    let metrics = fleet.get(MODEL).unwrap();
     assert_eq!(metrics.completed_requests as usize, n_serve + 2);
     assert_eq!(metrics.errored_requests, 0);
     assert_eq!(metrics.reloads, 1);
