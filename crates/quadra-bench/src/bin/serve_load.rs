@@ -542,7 +542,6 @@ fn main() {
                 format!("{:.2}", metrics.p50_latency_ms),
                 format!("{:.2}", metrics.p95_latency_ms),
                 format!("{:.2}", metrics.mean_batch_size),
-                format!("{:.0}", metrics.peak_batch_activation_bytes as f64 / 1024.0),
             ]);
             closed_records.push(ClosedLoopRecord {
                 model: name.to_string(),
@@ -557,7 +556,7 @@ fn main() {
         }
         print_table(
             &format!("Serving load test — {} ({} closed-loop clients)", name, clients),
-            &["workers", "max batch", "requests", "req/s", "p50 ms", "p95 ms", "mean batch", "peak act KiB"],
+            &["workers", "max batch", "requests", "req/s", "p50 ms", "p95 ms", "mean batch"],
             &rows,
         );
         if let Some((workers, max_batch, metrics)) =

@@ -185,9 +185,9 @@ impl MemoryProfiler {
     /// the layers are currently caching, and the batch input/output tensors.
     ///
     /// Unlike [`MemoryProfiler::profile_step`] this runs nothing — it reads
-    /// the live [`Layer::cached_bytes`] state, which is what the serving
-    /// worker pool samples between `forward` and `clear_cache` to report
-    /// per-batch memory.
+    /// the live [`Layer::cached_bytes`] state. Eval-mode forwards cache
+    /// nothing, so after one the activation figure is 0 and the batch costs
+    /// its parameters, input and output.
     pub fn inference_report(&self, model: &dyn Layer, input: &Tensor, output: &Tensor) -> MemoryReport {
         MemoryReport {
             param_bytes: model.params().iter().map(|p| p.nbytes()).sum(),
@@ -330,14 +330,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut model = build_model(&small_config(false), &mut rng);
         let input = Tensor::randn(&[2, 3, 8, 8], 0.0, 1.0, &mut rng);
+        // An eval forward caches nothing, so an inference batch is its
+        // parameters plus its input and output.
         let output = model.forward(&input, false);
         let report = MemoryProfiler::new().inference_report(&model, &input, &output);
         assert!(report.param_bytes > 0);
         assert_eq!(report.optimizer_bytes, 0);
-        assert_eq!(report.peak_activation_bytes, model.cached_bytes());
-        assert!(report.peak_activation_bytes > 0);
+        assert_eq!(report.peak_activation_bytes, 0);
         assert_eq!(report.input_bytes, input.nbytes());
         assert_eq!(report.output_bytes, output.nbytes());
+        // The figure is the layers' live cache state: a train forward fills it.
+        let output = model.forward(&input, true);
+        let trained = MemoryProfiler::new().inference_report(&model, &input, &output);
+        assert!(trained.peak_activation_bytes > 0);
+        assert_eq!(trained.peak_activation_bytes, model.cached_bytes());
         model.clear_cache();
         let after = MemoryProfiler::new().inference_report(&model, &input, &output);
         assert_eq!(after.peak_activation_bytes, 0);

@@ -154,8 +154,35 @@ impl QuadraticConv2d {
         self.conv
     }
 
-    fn conv_branch(&self, x: &Tensor, w: &Option<Param>) -> Tensor {
-        x.conv2d(&w.as_ref().expect("branch weight").value, None, self.conv).expect("conv shapes")
+    /// The branch weights convolved with `x` itself, in `Wa, Wb, Wc` order.
+    /// These share one lowering of `x` per sample, forward and backward.
+    fn weights_on_x(&self) -> Vec<&Tensor> {
+        let on_x = match self.neuron_type {
+            NeuronType::T2 => [None, None, None],
+            NeuronType::T2And4 => [self.wa.as_ref(), self.wb.as_ref(), None],
+            _ => [self.wa.as_ref(), self.wb.as_ref(), self.wc.as_ref()],
+        };
+        on_x.into_iter().flatten().map(|w| &w.value).collect()
+    }
+
+    /// The branch weight convolved with `x²` (T2's only branch, T2&4's third).
+    fn weight_on_square(&mut self) -> Option<&mut Param> {
+        match self.neuron_type {
+            NeuronType::T2 => self.wa.as_mut(),
+            NeuronType::T2And4 => self.wc.as_mut(),
+            _ => None,
+        }
+    }
+
+    /// `conv(x, W)` for the first `branches` weights of
+    /// [`Self::weights_on_x`], over one lowering of `x`.
+    fn convs_of_x(&self, x: &Tensor, branches: usize) -> Vec<Tensor> {
+        let mut weights = self.weights_on_x();
+        weights.truncate(branches);
+        if weights.is_empty() {
+            return Vec::new();
+        }
+        x.conv2d_multi(&weights, self.conv).expect("conv shapes")
     }
 
     fn branch_flops(&self, x: &Tensor, y: &Tensor) -> usize {
@@ -166,130 +193,107 @@ impl QuadraticConv2d {
 }
 
 impl Layer for QuadraticConv2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.ndim(), 4, "QuadraticConv2d expects NCHW input");
-        let (mut out, za, zb, nbranches) = match self.neuron_type {
-            NeuronType::T2 => {
-                let y = self.conv_branch(&x.square(), &self.wa);
-                (y, None, None, 1)
-            }
-            NeuronType::T3 => {
-                let za = self.conv_branch(x, &self.wa);
-                (za.square(), Some(za), None, 1)
-            }
-            NeuronType::T4 => {
-                let za = self.conv_branch(x, &self.wa);
-                let zb = self.conv_branch(x, &self.wb);
-                (za.mul(&zb).expect("shape"), Some(za), Some(zb), 2)
-            }
-            NeuronType::T4Identity => {
-                let za = self.conv_branch(x, &self.wa);
-                let zb = self.conv_branch(x, &self.wb);
-                (za.mul(&zb).expect("shape").add(x).expect("shape"), Some(za), Some(zb), 2)
-            }
-            NeuronType::T2And4 => {
-                let za = self.conv_branch(x, &self.wa);
-                let zb = self.conv_branch(x, &self.wb);
-                let sq = self.conv_branch(&x.square(), &self.wc);
-                (za.mul(&zb).expect("shape").add(&sq).expect("shape"), Some(za), Some(zb), 3)
-            }
-            NeuronType::Ours => {
-                let za = self.conv_branch(x, &self.wa);
-                let zb = self.conv_branch(x, &self.wb);
-                let lin = self.conv_branch(x, &self.wc);
-                (za.mul(&zb).expect("shape").add(&lin).expect("shape"), Some(za), Some(zb), 3)
-            }
-            NeuronType::T1 | NeuronType::T1And2 => unreachable!("rejected in constructor"),
-        };
-        // Per-channel bias.
-        let bias = self.bias.value.reshape(&[1, self.out_channels, 1, 1]).expect("bias shape");
-        out = out.add(&bias).expect("bias broadcast");
-        self.flops = nbranches * self.branch_flops(x, &out);
+        let conv = self.conv;
+        let mut z = self.convs_of_x(x, 3).into_iter();
+        let (za, zb, lin) = (z.next(), z.next(), z.next());
+        let squared =
+            self.weight_on_square().map(|w| x.square().conv2d(&w.value, None, conv).expect("conv shapes"));
+        let nbranches = [&za, &zb, &lin, &squared].into_iter().flatten().count();
 
-        self.cached_x = Some(x.clone());
-        match self.mode {
-            BackpropMode::Default => {
-                self.cached_za = za;
-                self.cached_zb = zb;
+        // Second-order term, then the first-order (or squared-input) term.
+        let product = match (&za, &zb) {
+            (Some(za), Some(zb)) => Some(za.mul(zb).expect("shape")),
+            (Some(za), None) => Some(za.square()),
+            _ => None,
+        };
+        let mut out = match (product, lin.or(squared)) {
+            (Some(mut product), Some(linear)) => {
+                product.add_assign(&linear).expect("shape");
+                product
             }
-            BackpropMode::Hybrid => {
-                self.cached_za = None;
-                self.cached_zb = None;
+            (Some(only), None) | (None, Some(only)) => only,
+            (None, None) => unreachable!("every neuron type has at least one branch"),
+        };
+        if self.neuron_type == NeuronType::T4Identity {
+            out.add_assign(x).expect("shape");
+        }
+        // Per-channel bias.
+        let plane = out.shape()[2] * out.shape()[3];
+        if plane > 0 {
+            let bias = self.bias.value.as_slice();
+            for (i, values) in out.as_mut_slice().chunks_exact_mut(plane).enumerate() {
+                let b = bias[i % bias.len()];
+                values.iter_mut().for_each(|v| *v += b);
             }
         }
+        self.flops = nbranches * self.branch_flops(x, &out);
+
+        // Eval keeps nothing; hybrid BP keeps the input only and recomputes
+        // the branch outputs from it in backward.
+        let keep_branches = train && self.mode == BackpropMode::Default;
+        self.cached_x = train.then(|| x.clone());
+        self.cached_za = za.filter(|_| keep_branches);
+        self.cached_zb = zb.filter(|_| keep_branches);
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let x = self.cached_x.take().expect("backward called before forward");
         self.bias.accumulate_grad(&Tensor::conv2d_backward_bias(grad_out).expect("bias grad"));
-
         let conv = self.conv;
-        let mut grad_in = Tensor::zeros(x.shape());
 
-        // Contribution of a branch y = conv(x_used, w) receiving gradient branch_grad.
-        let conv_branch_backward = |w: &mut Option<Param>,
-                                    branch_grad: &Tensor,
-                                    grad_in: &mut Tensor,
-                                    x_used: &Tensor,
-                                    x_is_square: bool,
-                                    x_orig: &Tensor| {
-            let w = w.as_mut().expect("branch weight");
-            let gw = Tensor::conv2d_backward_weight(branch_grad, x_used, w.value.shape(), conv)
-                .expect("conv weight grad");
-            w.accumulate_grad(&gw);
-            let gx = Tensor::conv2d_backward_input(branch_grad, &w.value, x_used.shape(), conv)
-                .expect("conv input grad");
-            if x_is_square {
-                // d(x²)/dx = 2x
-                let gx = gx.mul(&x_orig.mul_scalar(2.0)).expect("shape");
-                grad_in.add_assign(&gx).expect("shape");
-            } else {
-                grad_in.add_assign(&gx).expect("shape");
+        // Gradient reaching each branch on `x`, in `Wa, Wb, Wc` order. Hybrid
+        // BP recomputes za, zb here — one lowering, the forward's own products,
+        // so the recomputed values are the forward's bit for bit.
+        let (za, zb) = match (self.cached_za.take(), self.cached_zb.take()) {
+            (Some(za), zb) => (Some(za), zb),
+            (None, _) => {
+                let mut z = self.convs_of_x(&x, 2).into_iter();
+                (z.next(), z.next())
             }
         };
+        let product_grads: Vec<Tensor> = match (self.neuron_type, &za, &zb) {
+            (NeuronType::T2, ..) => Vec::new(),
+            (NeuronType::T3, Some(za), _) => vec![grad_out.mul(&za.mul_scalar(2.0)).expect("shape")],
+            (_, Some(za), Some(zb)) => {
+                vec![grad_out.mul(zb).expect("shape"), grad_out.mul(za).expect("shape")]
+            }
+            _ => unreachable!("branch outputs exist for every type but T2"),
+        };
+        let mut grads: Vec<&Tensor> = product_grads.iter().collect();
+        if self.neuron_type == NeuronType::Ours {
+            grads.push(grad_out);
+        }
 
-        match self.neuron_type {
-            NeuronType::T2 => {
-                let xsq = x.square();
-                conv_branch_backward(&mut self.wa, grad_out, &mut grad_in, &xsq, true, &x);
+        // One shared lowering for the weight gradients, one accumulated column
+        // gradient and one scatter for the input gradient.
+        let mut grad_in = if grads.is_empty() {
+            Tensor::zeros(x.shape())
+        } else {
+            let weights = self.weights_on_x();
+            let grad_in = Tensor::conv2d_backward_input_multi(&grads, &weights, x.shape(), conv)
+                .expect("conv input grad");
+            let gws = Tensor::conv2d_backward_weight_multi(&grads, &x, weights[0].shape(), conv)
+                .expect("conv weight grad");
+            for (w, gw) in [&mut self.wa, &mut self.wb, &mut self.wc].into_iter().flatten().zip(&gws) {
+                w.accumulate_grad(gw);
             }
-            NeuronType::T3 => {
-                let za = match self.cached_za.take() {
-                    Some(z) => z,
-                    None => self.conv_branch(&x, &self.wa),
-                };
-                let gz = grad_out.mul(&za.mul_scalar(2.0)).expect("shape");
-                conv_branch_backward(&mut self.wa, &gz, &mut grad_in, &x, false, &x);
-            }
-            NeuronType::T4 | NeuronType::T4Identity | NeuronType::T2And4 | NeuronType::Ours => {
-                let za = match self.cached_za.take() {
-                    Some(z) => z,
-                    None => self.conv_branch(&x, &self.wa),
-                };
-                let zb = match self.cached_zb.take() {
-                    Some(z) => z,
-                    None => self.conv_branch(&x, &self.wb),
-                };
-                let ga = grad_out.mul(&zb).expect("shape");
-                let gb = grad_out.mul(&za).expect("shape");
-                conv_branch_backward(&mut self.wa, &ga, &mut grad_in, &x, false, &x);
-                conv_branch_backward(&mut self.wb, &gb, &mut grad_in, &x, false, &x);
-                match self.neuron_type {
-                    NeuronType::T4Identity => {
-                        grad_in.add_assign(grad_out).expect("shape");
-                    }
-                    NeuronType::T2And4 => {
-                        let xsq = x.square();
-                        conv_branch_backward(&mut self.wc, grad_out, &mut grad_in, &xsq, true, &x);
-                    }
-                    NeuronType::Ours => {
-                        conv_branch_backward(&mut self.wc, grad_out, &mut grad_in, &x, false, &x);
-                    }
-                    _ => {}
-                }
-            }
-            NeuronType::T1 | NeuronType::T1And2 => unreachable!("rejected in constructor"),
+            grad_in
+        };
+        if let Some(w) = self.weight_on_square() {
+            let xsq = x.square();
+            let gw = Tensor::conv2d_backward_weight(grad_out, &xsq, w.value.shape(), conv)
+                .expect("conv weight grad");
+            w.accumulate_grad(&gw);
+            let gx =
+                Tensor::conv2d_backward_input(grad_out, &w.value, x.shape(), conv).expect("conv input grad");
+            // d(x²)/dx = 2x
+            grad_in.add_assign(&gx.mul(&x.mul_scalar(2.0)).expect("shape")).expect("shape");
+        }
+        if self.neuron_type == NeuronType::T4Identity {
+            grad_in.add_assign(grad_out).expect("shape");
         }
         grad_in
     }
@@ -419,53 +423,78 @@ mod tests {
         }
     }
 
+    const MODES: [BackpropMode; 2] = [BackpropMode::Default, BackpropMode::Hybrid];
+
+    /// A layer of type `t`, its input and a random upstream gradient, after
+    /// one training forward + backward in `mode`: `(layer, x, probe, grad_in)`.
+    fn stepped(t: NeuronType, mode: BackpropMode, seed: u64) -> (QuadraticConv2d, Tensor, Tensor, Tensor) {
+        let mut r = StdRng::seed_from_u64(seed);
+        let mut layer = QuadraticConv2d::conv3x3(t, 2, 2, &mut r);
+        layer.set_mode(mode);
+        let x = Tensor::randn(&[2, 2, 4, 4], 0.0, 1.0, &mut r);
+        let probe = Tensor::randn(&[2, 2, 4, 4], 0.0, 1.0, &mut r);
+        let y = layer.forward(&x, true);
+        assert_eq!(y.shape(), probe.shape());
+        let grad_in = layer.backward(&probe);
+        (layer, x, probe, grad_in)
+    }
+
+    /// The scalar the gradchecks differentiate: `<reference_forward(x), probe>`.
+    fn probe_loss(layer: &QuadraticConv2d, x: &Tensor, probe: &Tensor) -> f32 {
+        reference_forward(layer, x).mul(probe).unwrap().sum()
+    }
+
+    // The shared lowering must not drift from the paper's semantics: the input
+    // gradient and every weight gradient of every neuron type, under default
+    // and hybrid BP, against central differences of the reference forward.
+
     #[test]
     fn backward_input_gradcheck_all_conv_types() {
-        let mut r = rng();
         for t in CONV_TYPES {
-            let mut layer = QuadraticConv2d::conv3x3(t, 2, 2, &mut r);
-            let x = Tensor::randn(&[1, 2, 4, 4], 0.0, 1.0, &mut r);
-            let y = layer.forward(&x, true);
-            let gin = layer.backward(&Tensor::ones_like(&y));
-            let lref = &layer;
-            let numeric = numeric_gradient(|xv| reference_forward(lref, xv).sum(), &x, 1e-2);
-            let rep = check_close(&gin, &numeric);
-            assert!(rep.passes(8e-2), "type {}: {:?}", t, rep);
+            for mode in MODES {
+                let (layer, x, probe, grad_in) = stepped(t, mode, 44);
+                let numeric = numeric_gradient(|xv| probe_loss(&layer, xv, &probe), &x, 1e-2);
+                let rep = check_close(&grad_in, &numeric);
+                assert!(rep.passes(8e-2), "type {t} {mode}: {rep:?}");
+            }
         }
     }
 
     #[test]
-    fn backward_weight_gradcheck_ours() {
-        let mut r = rng();
-        let mut layer = QuadraticConv2d::conv3x3(NeuronType::Ours, 2, 2, &mut r);
-        let x = Tensor::randn(&[2, 2, 4, 4], 0.0, 1.0, &mut r);
-        let y = layer.forward(&x, true);
-        layer.backward(&Tensor::ones_like(&y));
-        for idx in 0..3 {
-            let analytic = layer.params()[idx].grad.clone();
-            let x2 = x.clone();
-            let p = layer.conv;
-            let wa = layer.wa.as_ref().unwrap().value.clone();
-            let wb = layer.wb.as_ref().unwrap().value.clone();
-            let wc = layer.wc.as_ref().unwrap().value.clone();
-            let f = move |w: &Tensor| {
-                let (wa, wb, wc) = match idx {
-                    0 => (w.clone(), wb.clone(), wc.clone()),
-                    1 => (wa.clone(), w.clone(), wc.clone()),
-                    _ => (wa.clone(), wb.clone(), w.clone()),
-                };
-                let a = x2.conv2d(&wa, None, p).unwrap();
-                let b = x2.conv2d(&wb, None, p).unwrap();
-                a.mul(&b).unwrap().add(&x2.conv2d(&wc, None, p).unwrap()).unwrap().sum()
-            };
-            let numeric = numeric_gradient(f, &layer.params()[idx].value, 1e-2);
-            let rep = check_close(&analytic, &numeric);
-            assert!(rep.passes(1e-1), "weight {}: {:?}", idx, rep);
+    fn backward_weight_gradcheck_all_conv_types() {
+        for t in CONV_TYPES {
+            for mode in MODES {
+                let (layer, x, probe, _) = stepped(t, mode, 44);
+                let analytic: Vec<Tensor> = layer.params().iter().map(|p| p.grad.clone()).collect();
+                let layer = std::cell::RefCell::new(layer);
+                for (idx, analytic) in analytic.iter().enumerate() {
+                    let w0 = layer.borrow().params()[idx].value.clone();
+                    let wrt_param = |w: &Tensor| {
+                        layer.borrow_mut().params_mut()[idx].value = w.clone();
+                        probe_loss(&layer.borrow(), &x, &probe)
+                    };
+                    let numeric = numeric_gradient(wrt_param, &w0, 1e-2);
+                    layer.borrow_mut().params_mut()[idx].value = w0;
+                    let rep = check_close(analytic, &numeric);
+                    assert!(rep.passes(1e-1), "param {idx}, type {t} {mode}: {rep:?}");
+                }
+            }
         }
     }
 
     #[test]
     fn hybrid_mode_identical_gradients_lower_memory() {
+        // Hybrid BP recomputes za, zb with the forward's own lowering and
+        // products, so nothing about the step may differ — not by an ulp.
+        for t in CONV_TYPES {
+            let (d, _, _, gd) = stepped(t, BackpropMode::Default, 7);
+            let (h, _, _, gh) = stepped(t, BackpropMode::Hybrid, 7);
+            assert_eq!(gd.as_slice(), gh.as_slice(), "input grad, type {t}");
+            for (pd, ph) in d.params().iter().zip(h.params()) {
+                assert_eq!(pd.value.as_slice(), ph.value.as_slice());
+                assert_eq!(pd.grad.as_slice(), ph.grad.as_slice(), "{} grad, type {t}", pd.name);
+            }
+        }
         let mut r = rng();
         let mut d = QuadraticConv2d::conv3x3(NeuronType::Ours, 3, 4, &mut r);
         let mut h = QuadraticConv2d::conv3x3(NeuronType::Ours, 3, 4, &mut r);
@@ -474,19 +503,33 @@ mod tests {
         }
         h.set_mode(BackpropMode::Hybrid);
         let x = Tensor::randn(&[2, 3, 8, 8], 0.0, 1.0, &mut r);
-        let yd = d.forward(&x, true);
-        let yh = h.forward(&x, true);
-        assert!(yd.allclose(&yh, 1e-5));
+        assert_eq!(d.forward(&x, true).as_slice(), h.forward(&x, true).as_slice());
         // Default caches x + za + zb; hybrid only x.
         assert_eq!(h.cached_bytes(), x.nbytes());
-        assert!(d.cached_bytes() > h.cached_bytes());
-        let g = Tensor::randn(yd.shape(), 0.0, 1.0, &mut r);
-        let gd = d.backward(&g);
-        let gh = h.backward(&g);
-        assert!(gd.allclose(&gh, 1e-4));
-        for (pd, ph) in d.params().iter().zip(h.params()) {
-            assert!(pd.grad.allclose(&ph.grad, 1e-4));
+        assert_eq!(d.cached_bytes(), x.nbytes() + 2 * 2 * 4 * 8 * 8 * 4);
+    }
+
+    #[test]
+    fn eval_forward_caches_nothing_and_matches_training_forward() {
+        let mut r = rng();
+        for t in CONV_TYPES {
+            let mut layer = QuadraticConv2d::conv3x3(t, 2, 2, &mut r);
+            let x = Tensor::randn(&[3, 2, 5, 5], 0.0, 1.0, &mut r);
+            let trained = layer.forward(&x, true);
+            assert!(layer.cached_bytes() > 0);
+            let served = layer.forward(&x, false);
+            assert_eq!(layer.cached_bytes(), 0, "type {t}");
+            assert_eq!(served.as_slice(), trained.as_slice(), "type {t}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn backward_after_eval_forward_fails() {
+        let mut r = rng();
+        let mut layer = QuadraticConv2d::conv3x3(NeuronType::Ours, 2, 2, &mut r);
+        let y = layer.forward(&Tensor::randn(&[1, 2, 4, 4], 0.0, 1.0, &mut r), false);
+        layer.backward(&Tensor::ones_like(&y));
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl NeuronWeights {
 }
 
 impl Layer for QuadraticLinear {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.ndim(), 2, "QuadraticLinear expects [batch, features] input");
         assert_eq!(x.shape()[1], self.in_features, "input width mismatch");
         let n = x.shape()[0];
@@ -221,18 +221,12 @@ impl Layer for QuadraticLinear {
         };
         self.flops = flops;
         let out = out.add(&self.bias.value).expect("bias broadcast");
-        self.cached_x = Some(x.clone());
-        match self.mode {
-            BackpropMode::Default => {
-                self.cached_za = za;
-                self.cached_zb = zb;
-            }
-            BackpropMode::Hybrid => {
-                // Symbolic gradients recompute the branches from the cached input.
-                self.cached_za = None;
-                self.cached_zb = None;
-            }
-        }
+        // Eval keeps nothing; hybrid BP keeps the input only and recomputes
+        // the branches from it (symbolic gradients).
+        let keep_branches = train && self.mode == BackpropMode::Default;
+        self.cached_x = train.then(|| x.clone());
+        self.cached_za = za.filter(|_| keep_branches);
+        self.cached_zb = zb.filter(|_| keep_branches);
         out
     }
 

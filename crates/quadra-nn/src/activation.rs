@@ -17,8 +17,8 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.mask = Some(x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.mask = train.then(|| x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
         x.relu()
     }
 
@@ -54,9 +54,9 @@ impl LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let slope = self.slope;
-        self.mask = Some(x.map(|v| if v >= 0.0 { 1.0 } else { slope }));
+        self.mask = train.then(|| x.map(|v| if v >= 0.0 { 1.0 } else { slope }));
         x.leaky_relu(slope)
     }
 
@@ -92,9 +92,9 @@ impl Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let y = x.sigmoid();
-        self.output = Some(y.clone());
+        self.output = train.then(|| y.clone());
         y
     }
 
@@ -131,9 +131,9 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let y = x.tanh();
-        self.output = Some(y.clone());
+        self.output = train.then(|| y.clone());
         y
     }
 

@@ -19,10 +19,9 @@ pub struct BatchNorm2d {
     momentum: f32,
     eps: f32,
     channels: usize,
-    // Cached for backward.
+    // Cached for backward by a training-mode forward.
     cached_xhat: Option<Tensor>,
     cached_inv_std: Option<Vec<f32>>,
-    last_was_train: bool,
 }
 
 impl BatchNorm2d {
@@ -39,7 +38,6 @@ impl BatchNorm2d {
             channels,
             cached_xhat: None,
             cached_inv_std: None,
-            last_was_train: true,
         }
     }
 
@@ -67,7 +65,8 @@ impl Layer for BatchNorm2d {
         let m = (n * h * w) as f32;
         let src = x.as_slice();
         let mut out = Tensor::zeros(x.shape());
-        let mut xhat = Tensor::zeros(x.shape());
+        // Eval mode normalises with constants and keeps nothing for backward.
+        let mut xhat = train.then(|| Tensor::zeros(x.shape()));
         let mut inv_stds = vec![0.0f32; c];
         let gamma = self.gamma.value.as_slice().to_vec();
         let beta = self.beta.value.as_slice().to_vec();
@@ -114,20 +113,27 @@ impl Layer for BatchNorm2d {
             inv_stds[ci] = inv_std;
             let g = gamma[ci];
             let b = beta[ci];
-            let xh = xhat.as_mut_slice();
             let o = out.as_mut_slice();
             for ni in 0..n {
-                let base = (ni * c + ci) * h * w;
-                for i in base..base + h * w {
-                    let v = (src[i] - mean) * inv_std;
-                    xh[i] = v;
-                    o[i] = g * v + b;
+                let plane = (ni * c + ci) * h * w..(ni * c + ci + 1) * h * w;
+                match xhat.as_mut() {
+                    Some(xhat) => {
+                        let xh = &mut xhat.as_mut_slice()[plane.clone()];
+                        for ((o, xh), &x) in o[plane.clone()].iter_mut().zip(xh).zip(&src[plane]) {
+                            *xh = (x - mean) * inv_std;
+                            *o = g * *xh + b;
+                        }
+                    }
+                    None => {
+                        for (o, &x) in o[plane.clone()].iter_mut().zip(&src[plane]) {
+                            *o = g * ((x - mean) * inv_std) + b;
+                        }
+                    }
                 }
             }
         }
-        self.cached_xhat = Some(xhat);
-        self.cached_inv_std = Some(inv_stds);
-        self.last_was_train = train;
+        self.cached_inv_std = xhat.is_some().then_some(inv_stds);
+        self.cached_xhat = xhat;
         out
     }
 
@@ -159,22 +165,12 @@ impl Layer for BatchNorm2d {
             dgamma[ci] = sum_dy_xhat;
             dbeta[ci] = sum_dy;
             let scale = gamma[ci] * inv_stds[ci];
-            if self.last_was_train {
-                let mean_dy = sum_dy / m;
-                let mean_dy_xhat = sum_dy_xhat / m;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * h * w;
-                    for i in base..base + h * w {
-                        gi[i] = scale * (g[i] - mean_dy - xh[i] * mean_dy_xhat);
-                    }
-                }
-            } else {
-                // In eval mode the statistics are constants.
-                for ni in 0..n {
-                    let base = (ni * c + ci) * h * w;
-                    for i in base..base + h * w {
-                        gi[i] = scale * g[i];
-                    }
+            let mean_dy = sum_dy / m;
+            let mean_dy_xhat = sum_dy_xhat / m;
+            for ni in 0..n {
+                let base = (ni * c + ci) * h * w;
+                for i in base..base + h * w {
+                    gi[i] = scale * (g[i] - mean_dy - xh[i] * mean_dy_xhat);
                 }
             }
         }
@@ -400,11 +396,17 @@ mod tests {
         assert!(bn.cached_bytes() > 0);
         bn.clear_cache();
         assert_eq!(bn.cached_bytes(), 0);
-        // Eval-mode backward path.
+        // An eval forward keeps nothing — and drops what a train forward left.
+        let _ = bn.forward(&x, true);
         let y = bn.forward(&x, false);
-        let gin = bn.backward(&Tensor::ones_like(&y));
-        assert_eq!(gin.shape(), x.shape());
-        assert!(!gin.has_non_finite());
+        assert_eq!(bn.cached_bytes(), 0);
         assert_eq!(bn.layer_type(), "batchnorm2d");
+        // ... so there is nothing to propagate a gradient through.
+        let backward = std::panic::AssertUnwindSafe(|| bn.backward(&Tensor::ones_like(&y)));
+        let panic = std::panic::catch_unwind(backward).expect_err("backward after an eval forward must fail");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("backward called before forward")
+        );
     }
 }

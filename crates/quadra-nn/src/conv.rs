@@ -89,7 +89,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let y = x
             .conv2d(&self.weight.value, self.bias.as_ref().map(|b| &b.value), self.conv)
             .expect("conv2d shapes");
@@ -103,7 +103,7 @@ impl Layer for Conv2d {
             * (self.in_channels / self.conv.groups)
             * self.kernel
             * self.kernel;
-        self.cached_input = Some(x.clone());
+        self.cached_input = train.then(|| x.clone());
         y
     }
 

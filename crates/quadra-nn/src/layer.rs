@@ -5,10 +5,13 @@ use quadra_tensor::Tensor;
 
 /// The interface every network component implements.
 ///
-/// A layer is a stateful object: [`Layer::forward`] computes the output for a
-/// batch and caches whatever intermediate values the layer's backward pass will
-/// need; [`Layer::backward`] consumes the cache, accumulates parameter
-/// gradients, and returns the gradient with respect to the layer's input.
+/// A layer is a stateful object: a training-mode [`Layer::forward`] computes
+/// the output for a batch and caches whatever intermediate values the layer's
+/// backward pass will need; [`Layer::backward`] consumes the cache,
+/// accumulates parameter gradients, and returns the gradient with respect to
+/// the layer's input. An eval-mode forward caches nothing (and drops what an
+/// earlier training forward left), so inference pays for no copy it will
+/// never use and a `backward` after it fails like one before any forward.
 ///
 /// The cache is deliberately explicit: its size is reported by
 /// [`Layer::cached_bytes`] so the memory profiler in `quadra-core` can
@@ -16,12 +19,13 @@ use quadra_tensor::Tensor;
 /// trade cache size against recomputation (the hybrid back-propagation scheme).
 pub trait Layer {
     /// Compute the layer output for `x`. `train` selects training behaviour
-    /// (dropout active, batch-norm uses batch statistics) versus inference.
+    /// (caches kept for backward, dropout active, batch-norm uses batch
+    /// statistics) versus inference.
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
     /// Propagate `grad_out` (gradient w.r.t. the layer output) backwards,
     /// accumulating parameter gradients and returning the gradient w.r.t. the
-    /// layer input. Must be called after `forward`.
+    /// layer input. Must be called after a training-mode `forward`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
     /// Immutable access to the layer's trainable parameters.
@@ -262,9 +266,8 @@ impl Layer for Residual {
         };
         let mut out = branch.add(&skip).expect("residual shapes must match");
         if self.final_relu {
-            let mask = out.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+            self.relu_mask = train.then(|| out.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
             out = out.relu();
-            self.relu_mask = Some(mask);
         }
         out
     }

@@ -54,7 +54,7 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.ndim(), 2, "Linear expects [batch, features] input, got {:?}", x.shape());
         assert_eq!(x.shape()[1], self.in_features, "Linear input width mismatch");
         let mut y = x.matmul(&self.weight.value).expect("linear shapes");
@@ -62,7 +62,7 @@ impl Layer for Linear {
             y = y.add(&b.value).expect("bias broadcast");
         }
         self.flops = x.shape()[0] * self.in_features * self.out_features;
-        self.cached_input = Some(x.clone());
+        self.cached_input = train.then(|| x.clone());
         y
     }
 

@@ -22,9 +22,9 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let (y, idx) = x.maxpool2d(self.params).expect("maxpool shapes");
-        self.indices = Some(idx);
+        self.indices = train.then_some(idx);
         y
     }
 

@@ -53,9 +53,8 @@
 //! * **[`ServeMetrics`]** are per model (and shed counts per priority class):
 //!   throughput, p50/p95/max latency over the endpoint's own window — never
 //!   blended across a heterogeneous fleet — batch-occupancy histogram, queue
-//!   depth, current wait budget, cancelled / deadline-missed counters, the
-//!   fair-share service-time ledger, and per-batch activation memory
-//!   attributed through `quadra_core::MemoryProfiler::inference_report_for`.
+//!   depth, current wait budget, cancelled / deadline-missed counters and
+//!   the fair-share service-time ledger.
 //!   [`Router::metrics`] rolls the fleet up into [`RouterMetrics`]
 //!   (including [`RouterMetrics::service_share`]).
 //!

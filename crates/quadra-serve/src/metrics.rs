@@ -34,7 +34,6 @@ struct MetricsInner {
     occupancy: Vec<u64>,
     latencies_us: Vec<u64>,
     latency_write: usize,
-    peak_batch_activation_bytes: usize,
 }
 
 /// Shared recorder; one per model endpoint, written by that endpoint's
@@ -50,17 +49,15 @@ impl MetricsHub {
         MetricsHub { started: Instant::now(), inner: Mutex::new(inner) }
     }
 
-    /// Record one completed batch: its sample count, each request's latency
-    /// and priority class, and the activation bytes the model cached while
-    /// running it.
-    pub fn record_batch(&self, samples: usize, requests: &[(Duration, Priority)], activation_bytes: usize) {
+    /// Record one completed batch: its sample count and each request's
+    /// latency and priority class.
+    pub fn record_batch(&self, samples: usize, requests: &[(Duration, Priority)]) {
         let mut m = lock_or_recover(&self.inner);
         m.batches += 1;
         m.completed_requests += requests.len() as u64;
         m.completed_samples += samples as u64;
         let bucket = samples.clamp(1, m.occupancy.len()) - 1;
         m.occupancy[bucket] += 1;
-        m.peak_batch_activation_bytes = m.peak_batch_activation_bytes.max(activation_bytes);
         for (latency, priority) in requests {
             m.completed_by_class[priority.index()] += 1;
             let us = latency.as_micros().min(u64::MAX as u128) as u64;
@@ -155,7 +152,6 @@ impl MetricsHub {
             max_latency_ms: sorted.last().map(|&v| v as f64 / 1000.0).unwrap_or(0.0),
             mean_batch_size: if m.batches == 0 { 0.0 } else { m.completed_samples as f64 / m.batches as f64 },
             batch_occupancy: m.occupancy.clone(),
-            peak_batch_activation_bytes: m.peak_batch_activation_bytes,
         }
     }
 }
@@ -225,16 +221,13 @@ pub struct ServeMetrics {
     /// Batch-occupancy histogram: entry `k` counts batches holding `k+1`
     /// samples (the last bucket also absorbs oversized batches).
     pub batch_occupancy: Vec<u64>,
-    /// Largest per-batch activation footprint observed (bytes), as attributed
-    /// to this model by `quadra_core::MemoryProfiler::inference_report_for`.
-    pub peak_batch_activation_bytes: usize,
 }
 
 impl ServeMetrics {
     /// One-line summary for logs and bench output.
     pub fn describe(&self) -> String {
         format!(
-            "[{}] {} req ({} samples) in {:.2}s | {:.0} req/s {:.0} samples/s | latency ms p50 {:.2} p95 {:.2} max {:.2} | mean batch {:.2} | wait budget {:.2} ms | service {:.0} ms | queue {} | shed {} ({} int / {} batch) | cancelled {} | deadline-missed {} | peak batch activations {:.1} KiB | v{} ({} reloads) | {} errors",
+            "[{}] {} req ({} samples) in {:.2}s | {:.0} req/s {:.0} samples/s | latency ms p50 {:.2} p95 {:.2} max {:.2} | mean batch {:.2} | wait budget {:.2} ms | service {:.0} ms | queue {} | shed {} ({} int / {} batch) | cancelled {} | deadline-missed {} | v{} ({} reloads) | {} errors",
             self.model,
             self.completed_requests,
             self.completed_samples,
@@ -253,7 +246,6 @@ impl ServeMetrics {
             self.shed_batch_class,
             self.cancelled_requests,
             self.deadline_missed_requests,
-            self.peak_batch_activation_bytes as f64 / 1024.0,
             self.model_version,
             self.reloads,
             self.errored_requests,
@@ -336,9 +328,9 @@ mod tests {
     #[test]
     fn snapshot_aggregates_batches() {
         let hub = MetricsHub::new(4);
-        hub.record_batch(3, &[(Duration::from_millis(2), I), (Duration::from_millis(4), B)], 1024);
-        hub.record_batch(1, &[(Duration::from_millis(6), I)], 512);
-        hub.record_batch(9, &[(Duration::from_millis(1), B)], 2048); // oversized → last bucket
+        hub.record_batch(3, &[(Duration::from_millis(2), I), (Duration::from_millis(4), B)]);
+        hub.record_batch(1, &[(Duration::from_millis(6), I)]);
+        hub.record_batch(9, &[(Duration::from_millis(1), B)]); // oversized → last bucket
         hub.record_errors(2);
         hub.record_reload();
         hub.record_shed(I);
@@ -368,7 +360,6 @@ mod tests {
         assert!((snap.wait_budget_ms - 1.5).abs() < 1e-9);
         assert!((snap.service_time_ms - 4.0).abs() < 1e-9);
         assert_eq!(snap.batch_occupancy, vec![1, 0, 1, 1]);
-        assert_eq!(snap.peak_batch_activation_bytes, 2048);
         assert!(snap.p50_latency_ms >= 1.0 && snap.p50_latency_ms <= 6.0);
         assert!(snap.p95_latency_ms >= snap.p50_latency_ms);
         assert!(snap.max_latency_ms >= snap.p95_latency_ms);
@@ -398,7 +389,7 @@ mod tests {
         let hub = MetricsHub::new(1);
         let lat: Vec<(Duration, Priority)> = vec![(Duration::from_micros(10), I); 100];
         for _ in 0..700 {
-            hub.record_batch(1, &lat, 0);
+            hub.record_batch(1, &lat);
         }
         let snap = hub.snapshot("m", 0, 0, Duration::ZERO);
         assert_eq!(snap.completed_requests, 70_000);
@@ -409,10 +400,10 @@ mod tests {
     #[test]
     fn router_metrics_roll_up_per_model() {
         let hub_a = MetricsHub::new(2);
-        hub_a.record_batch(1, &[(Duration::from_millis(1), I)], 0);
+        hub_a.record_batch(1, &[(Duration::from_millis(1), I)]);
         hub_a.record_service(1_000);
         let hub_b = MetricsHub::new(2);
-        hub_b.record_batch(2, &[(Duration::from_millis(30), B), (Duration::from_millis(40), B)], 0);
+        hub_b.record_batch(2, &[(Duration::from_millis(30), B), (Duration::from_millis(40), B)]);
         hub_b.record_shed(I);
         hub_b.record_service(3_000);
         let fleet = RouterMetrics {

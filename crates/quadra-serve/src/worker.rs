@@ -7,7 +7,6 @@ use crate::endpoint::EndpointShared;
 use crate::request::{InferResponse, ReplySlot, ServeError};
 use crate::scheduler::{self, assemble, Batch};
 use crate::sync::lock_or_recover;
-use quadra_core::MemoryProfiler;
 use quadra_nn::{Layer, StateDict};
 use quadra_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -151,8 +150,6 @@ fn execute(
     match catch_unwind(AssertUnwindSafe(|| model.forward(&input, false))) {
         Ok(output) => {
             let done_at = Instant::now();
-            let attributed = MemoryProfiler::new().inference_report_for(&shared.name, model, &input, &output);
-            model.clear_cache();
             // Phase 1: split the batch output into per-request row views and
             // collect latencies, borrowing the requests — responses are built
             // in phase 2, which consumes them, so tags move instead of
@@ -177,7 +174,7 @@ fn execute(
                     }
                 }
             }
-            shared.metrics.record_batch(batch_samples, &latencies, attributed.report.peak_activation_bytes);
+            shared.metrics.record_batch(batch_samples, &latencies);
             if split_errors > 0 {
                 shared.metrics.record_errors(split_errors);
             }

@@ -1,14 +1,44 @@
-//! 2-D convolution (NCHW) via im2col / col2im, with stride, zero-padding and
-//! grouped convolution (which covers depth-wise convolution for MobileNetV1).
+//! 2-D convolution (NCHW) with stride, zero-padding and groups (which covers
+//! depth-wise convolution for MobileNetV1).
 //!
 //! The forward pass and both backward passes (w.r.t. input and weight) are
 //! implemented so the layer crates can use closed-form ("symbolic") gradients —
 //! the ingredient the paper's hybrid back-propagation scheme relies on.
+//!
+//! Every direction works one sample at a time, inside one parallel region
+//! decided by the crate's fork rule ([`crate::fork`]):
+//!
+//! * **generic** — the sample is lowered into a per-thread column buffer
+//!   `[c·kh·kw, oh·ow]` with contiguous row copies ([`Geom::lower`]), multiplied
+//!   per group by the blocked GEMM, and (backward) scattered back with row adds
+//!   ([`Geom::scatter`]). The batch-wide column tensor never exists.
+//! * **1×1 / stride 1 / pad 0** — the image *is* its column form, so it feeds
+//!   the GEMM directly in all three directions.
+//! * **depth-wise** (`groups == in_c == out_c`) — a direct stencil; a
+//!   `1 × k² × oh·ow` product per channel is not worth lowering for.
+//!
+//! The `*_multi` entry points run several weight branches over **one** lowering
+//! of the input — what a quadratic layer's `conv(X,Wa) ∘ conv(X,Wb) + conv(X,Wc)`
+//! needs. The public [`im2col`] / [`col2im`] are the same per-sample routines
+//! applied to a whole batch.
+//!
+//! Numerics: a sample's result depends on its own data and the layer geometry
+//! only — same kernel, same summation order whatever the batch size, pool size
+//! or fork decision — so row `i` of a batched forward is bitwise the batch-1
+//! forward of sample `i`.
 
 use crate::error::{Result, TensorError};
+use crate::fork::{for_each_range, with_scratch, Scratch};
 use crate::gemm::{gemm_into, gemm_nt_into, gemm_tn_into};
 use crate::tensor::Tensor;
-use rayon::prelude::*;
+use std::cell::Cell;
+use std::ops::Range;
+
+thread_local! {
+    /// One sample's column form (or column gradient), reused across samples,
+    /// layers and calls on this thread.
+    static COL_SCRATCH: Scratch = const { Cell::new(Vec::new()) };
+}
 
 /// Configuration of a 2-D convolution: square kernel, stride, padding, groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,54 +99,381 @@ impl Conv2dParams {
     }
 }
 
-/// Lower one NCHW image batch into column form.
-///
-/// Returns a `[n, c*kh*kw, oh*ow]` tensor where each column holds the receptive
-/// field of one output location.
-pub fn im2col(input: &Tensor, kh: usize, kw: usize, params: Conv2dParams) -> Result<Tensor> {
-    if input.ndim() != 4 {
-        return Err(TensorError::RankMismatch { op: "im2col", expected: 4, actual: input.ndim() });
-    }
-    let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-    params.validate(c, h, w, kh, kw)?;
-    let oh = params.out_size(h, kh);
-    let ow = params.out_size(w, kw);
-    let col_rows = c * kh * kw;
-    let col_cols = oh * ow;
-    let src = input.as_slice();
-    let mut out = vec![0.0f32; n * col_rows * col_cols];
-    let stride = params.stride;
-    let pad = params.padding as isize;
+/// Output positions `o` along one axis whose input position
+/// `o·stride + k_off − pad` falls inside `0..in_size`.
+fn valid_range(k_off: usize, in_size: usize, out_size: usize, stride: usize, pad: usize) -> Range<usize> {
+    let hi = if in_size + pad > k_off { ((in_size + pad - k_off - 1) / stride + 1).min(out_size) } else { 0 };
+    let lo = pad.saturating_sub(k_off).div_ceil(stride).min(hi);
+    lo..hi
+}
 
-    if col_rows * col_cols == 0 {
-        // Zero channels: nothing to lower (par_chunks_mut rejects size 0).
-        return Tensor::from_vec(out, &[n, col_rows, col_cols]);
+/// One kernel offset `(ki, kj)` with the output rows / columns for which it
+/// reads inside the image (everything else sees zero padding).
+struct Tap {
+    /// `ki·kw + kj`: the offset's row within one channel of the column form.
+    index: usize,
+    ki: usize,
+    kj: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+}
+
+/// `dst[j] = src[j·stride]`.
+#[inline]
+fn gather(dst: &mut [f32], src: &[f32], stride: usize) {
+    if stride == 1 {
+        dst.copy_from_slice(&src[..dst.len()]);
+    } else {
+        for (d, s) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+            *d = *s;
+        }
     }
-    out.par_chunks_mut(col_rows * col_cols).enumerate().for_each(|(ni, chunk)| {
-        let img = &src[ni * c * h * w..(ni + 1) * c * h * w];
-        for ci in 0..c {
-            for ki in 0..kh {
-                for kj in 0..kw {
-                    let row = (ci * kh + ki) * kw + kj;
-                    let dst_row = &mut chunk[row * col_cols..(row + 1) * col_cols];
-                    for ohi in 0..oh {
-                        let ih = (ohi * stride) as isize + ki as isize - pad;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        for owi in 0..ow {
-                            let iw = (owi * stride) as isize + kj as isize - pad;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            dst_row[ohi * ow + owi] = img[(ci * h + ih as usize) * w + iw as usize];
-                        }
+}
+
+/// `dst[j] += a · src[j·stride]`.
+#[inline]
+fn axpy_gather(dst: &mut [f32], a: f32, src: &[f32], stride: usize) {
+    if stride == 1 {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d += a * s;
+        }
+    } else {
+        for (d, s) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+            *d += a * s;
+        }
+    }
+}
+
+/// `dst[j·stride] += a · src[j]`.
+#[inline]
+fn axpy_scatter(dst: &mut [f32], a: f32, src: &[f32], stride: usize) {
+    if stride == 1 {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d += a * s;
+        }
+    } else {
+        for (d, s) in dst.iter_mut().step_by(stride).zip(src) {
+            *d += a * s;
+        }
+    }
+}
+
+/// Per-sample geometry of one convolution call, validated once per call.
+struct Geom {
+    c: usize,
+    h: usize,
+    w: usize,
+    oc: usize,
+    kh: usize,
+    kw: usize,
+    oh: usize,
+    ow: usize,
+    stride: usize,
+    pad: usize,
+    groups: usize,
+    taps: Vec<Tap>,
+}
+
+impl Geom {
+    /// Geometry of `op` over an NCHW `input_shape` and an
+    /// `[oc, c/groups, kh, kw]` `weight_shape`; returns the batch size too.
+    fn new(
+        op: &'static str,
+        input_shape: &[usize],
+        weight_shape: &[usize],
+        params: Conv2dParams,
+    ) -> Result<(usize, Geom)> {
+        let (&[n, c, h, w], &[oc, wc, kh, kw]) = (input_shape, weight_shape) else {
+            return Err(TensorError::InvalidArgument { msg: format!("{op} expects NCHW tensors") });
+        };
+        params.validate(c, h, w, kh, kw)?;
+        if wc != c / params.groups || oc % params.groups != 0 {
+            return Err(TensorError::IncompatibleShapes {
+                op,
+                lhs: input_shape.to_vec(),
+                rhs: weight_shape.to_vec(),
+            });
+        }
+        Ok((n, Geom::lowering(c, h, w, oc, kh, kw, params)))
+    }
+
+    /// Geometry of the lowering alone (`oc` only matters to the products).
+    fn lowering(c: usize, h: usize, w: usize, oc: usize, kh: usize, kw: usize, params: Conv2dParams) -> Geom {
+        let (stride, pad) = (params.stride, params.padding);
+        let (oh, ow) = (params.out_size(h, kh), params.out_size(w, kw));
+        let taps = (0..kh * kw)
+            .map(|index| {
+                let (ki, kj) = (index / kw, index % kw);
+                let cols = valid_range(kj, w, ow, stride, pad);
+                // A tap that reads no column reads no row either.
+                let rows = if cols.is_empty() { 0..0 } else { valid_range(ki, h, oh, stride, pad) };
+                Tap { index, ki, kj, rows, cols }
+            })
+            .collect();
+        Geom { c, h, w, oc, kh, kw, oh, ow, stride, pad, groups: params.groups, taps }
+    }
+
+    /// Rows of one sample's column form.
+    fn col_rows(&self) -> usize {
+        self.c * self.kh * self.kw
+    }
+
+    /// Columns of one sample's column form: output positions.
+    fn cols(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Floats of one input sample.
+    fn in_len(&self) -> usize {
+        self.c * self.h * self.w
+    }
+
+    /// Floats of one output sample.
+    fn out_len(&self) -> usize {
+        self.oc * self.cols()
+    }
+
+    /// Floats of one weight tensor.
+    fn weight_len(&self) -> usize {
+        self.oc * self.col_rows() / self.groups
+    }
+
+    /// Multiply-adds of one sample through one weight.
+    fn macs(&self) -> usize {
+        self.weight_len() * self.cols()
+    }
+
+    /// 1×1, stride 1, no padding: the image is already its own column form.
+    fn is_pointwise(&self) -> bool {
+        self.kh == 1 && self.kw == 1 && self.stride == 1 && self.pad == 0
+    }
+
+    /// One filter per channel: a stencil, not a matrix product.
+    fn is_depthwise(&self) -> bool {
+        self.groups == self.c && self.oc == self.c
+    }
+
+    /// Offset within an image plane of the first input `tap` reads for output row `ohi`.
+    #[inline]
+    fn in_start(&self, tap: &Tap, ohi: usize) -> usize {
+        (ohi * self.stride + tap.ki - self.pad) * self.w + tap.cols.start * self.stride + tap.kj - self.pad
+    }
+
+    /// The one lowering: write one sample `[c, h, w]` into column form
+    /// `[c·kh·kw, oh·ow]` with row copies. Every slot of `col` is written
+    /// (zeros where the receptive field hangs over the padding), so a stale
+    /// scratch buffer is fine.
+    fn lower(&self, col: &mut [f32], img: &[f32]) {
+        let (hw, cols, kk, ow) = (self.h * self.w, self.cols(), self.kh * self.kw, self.ow);
+        for (ci, plane) in img.chunks_exact(hw.max(1)).enumerate().take(self.c) {
+            for tap in &self.taps {
+                let dst = &mut col[(ci * kk + tap.index) * cols..][..cols];
+                let Some(last_row) = tap.rows.clone().last() else {
+                    dst.fill(0.0);
+                    continue;
+                };
+                // What the tap reads inside the image, per output row.
+                let seg = |ohi: usize| ohi * ow + tap.cols.start..ohi * ow + tap.cols.end;
+                let (first, last) = (seg(tap.rows.start).start, seg(last_row).end);
+                if self.stride == 1 && ow == self.w {
+                    // Image and column form share a row pitch, so the tap's
+                    // whole block is the plane shifted by a constant: one copy,
+                    // whose wrapped-around margins are zeroed below.
+                    dst[first..last]
+                        .copy_from_slice(&plane[self.in_start(tap, tap.rows.start)..][..last - first]);
+                } else {
+                    for ohi in tap.rows.clone() {
+                        gather(&mut dst[seg(ohi)], &plane[self.in_start(tap, ohi)..], self.stride);
                     }
+                }
+                dst[..first].fill(0.0);
+                dst[last..].fill(0.0);
+                for ohi in tap.rows.start..last_row {
+                    dst[seg(ohi).end..seg(ohi + 1).start].fill(0.0);
                 }
             }
         }
-    });
-    Tensor::from_vec(out, &[n, col_rows, col_cols])
+    }
+
+    /// Call `f(channel, tap, out_segment, in_start)` for every (channel, tap,
+    /// output row) that reads inside the image, in `(c, ki, kj, oh)` order:
+    /// `out_segment` indexes an output plane, `in_start` an input plane
+    /// (then every `stride`-th element).
+    #[inline]
+    fn for_each_tap_row(&self, mut f: impl FnMut(usize, &Tap, Range<usize>, usize)) {
+        for ch in 0..self.c {
+            for tap in &self.taps {
+                for ohi in tap.rows.clone() {
+                    f(
+                        ch,
+                        tap,
+                        ohi * self.ow + tap.cols.start..ohi * self.ow + tap.cols.end,
+                        self.in_start(tap, ohi),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Adjoint of [`Geom::lower`]: add one sample's column form back onto its
+    /// image, overlapping receptive fields accumulating.
+    fn scatter(&self, img: &mut [f32], col: &[f32]) {
+        let (hw, cols, kk) = (self.h * self.w, self.cols(), self.kh * self.kw);
+        self.for_each_tap_row(|ci, tap, seg, start| {
+            let src = &col[(ci * kk + tap.index) * cols..][seg];
+            axpy_scatter(&mut img[ci * hw + start..(ci + 1) * hw], 1.0, src, self.stride);
+        });
+    }
+
+    /// Depth-wise forward: `out[ch] += Σ_tap w[ch][tap] · shifted(img[ch])`.
+    fn stencil_forward(&self, out: &mut [f32], img: &[f32], w: &[f32]) {
+        let (hw, cols, kk) = (self.h * self.w, self.cols(), self.kh * self.kw);
+        self.for_each_tap_row(|ch, tap, seg, start| {
+            let src = &img[ch * hw + start..(ch + 1) * hw];
+            axpy_gather(&mut out[ch * cols..][seg], w[ch * kk + tap.index], src, self.stride);
+        });
+    }
+
+    /// Depth-wise input gradient: the stencil transposed, accumulated onto `grad_in`.
+    fn stencil_backward_input(&self, grad_in: &mut [f32], grad_out: &[f32], w: &[f32]) {
+        let (hw, cols, kk) = (self.h * self.w, self.cols(), self.kh * self.kw);
+        self.for_each_tap_row(|ch, tap, seg, start| {
+            let dst = &mut grad_in[ch * hw + start..(ch + 1) * hw];
+            axpy_scatter(dst, w[ch * kk + tap.index], &grad_out[ch * cols..][seg], self.stride);
+        });
+    }
+
+    /// Depth-wise weight gradient: `gw[ch][tap] += <grad_out[ch], shifted(img[ch])>`.
+    fn stencil_backward_weight(&self, gw: &mut [f32], grad_out: &[f32], img: &[f32]) {
+        let (hw, cols, kk) = (self.h * self.w, self.cols(), self.kh * self.kw);
+        self.for_each_tap_row(|ch, tap, seg, start| {
+            let src = img[ch * hw + start..(ch + 1) * hw].iter().step_by(self.stride);
+            gw[ch * kk + tap.index] +=
+                grad_out[ch * cols..][seg].iter().zip(src).map(|(g, x)| g * x).sum::<f32>();
+        });
+    }
+
+    /// Run `f` on the column form of `img`: the image itself for a point-wise
+    /// convolution, otherwise its lowering in this thread's scratch.
+    fn with_cols<R>(&self, img: &[f32], f: impl FnOnce(&[f32]) -> R) -> R {
+        if self.is_pointwise() {
+            return f(img);
+        }
+        with_scratch(&COL_SCRATCH, self.col_rows() * self.cols(), |col| {
+            self.lower(col, img);
+            f(col)
+        })
+    }
+
+    /// Call `f(out_group, weight_group, col_group)` with each group's element
+    /// range in an output sample, a weight and a column form.
+    #[inline]
+    fn for_each_group(&self, mut f: impl FnMut(Range<usize>, Range<usize>, Range<usize>)) {
+        let (out_g, w_g, col_g) = (
+            self.out_len() / self.groups,
+            self.weight_len() / self.groups,
+            self.col_rows() * self.cols() / self.groups,
+        );
+        for gi in 0..self.groups {
+            f(gi * out_g..(gi + 1) * out_g, gi * w_g..(gi + 1) * w_g, gi * col_g..(gi + 1) * col_g);
+        }
+    }
+
+    /// Forward of one sample through every weight: one lowering, then each
+    /// branch's per-group products `out_b = W_b · col` with the `(m, k, n)` a
+    /// single-weight call would use.
+    fn forward_sample(&self, outs: &mut [&mut [f32]], img: &[f32], weights: &[&[f32]]) {
+        if self.is_depthwise() {
+            for (out, w) in outs.iter_mut().zip(weights) {
+                self.stencil_forward(out, img, w);
+            }
+            return;
+        }
+        let (m, k, n) = (self.oc / self.groups, self.col_rows() / self.groups, self.cols());
+        self.with_cols(img, |col| {
+            for (out, w) in outs.iter_mut().zip(weights) {
+                self.for_each_group(|og, wg, cg| gemm_into(&mut out[og], &w[wg], &col[cg], m, k, n));
+            }
+        });
+    }
+
+    /// Sample `ni` of each per-branch batch of output gradients.
+    fn sample<'a>(&self, batches: &'a [&'a [f32]], ni: usize) -> impl Iterator<Item = &'a [f32]> {
+        let len = self.out_len();
+        batches.iter().map(move |b| &b[ni * len..(ni + 1) * len])
+    }
+
+    /// Input gradient of sample `ni`: every branch's `W_bᵀ · grad_out_b`
+    /// accumulates into one column gradient, scattered back once (or lands
+    /// directly on `grad_in` when the image is its own column form).
+    fn backward_input_sample(
+        &self,
+        grad_in: &mut [f32],
+        grad_outs: &[&[f32]],
+        ni: usize,
+        weights: &[&[f32]],
+    ) {
+        if self.is_depthwise() {
+            for (go, w) in self.sample(grad_outs, ni).zip(weights) {
+                self.stencil_backward_input(grad_in, go, w);
+            }
+            return;
+        }
+        let (m, k, n) = (self.col_rows() / self.groups, self.oc / self.groups, self.cols());
+        let products = |grad_col: &mut [f32]| {
+            for (go, w) in self.sample(grad_outs, ni).zip(weights) {
+                self.for_each_group(|og, wg, cg| gemm_tn_into(&mut grad_col[cg], &w[wg], &go[og], m, k, n));
+            }
+        };
+        if self.is_pointwise() {
+            return products(grad_in);
+        }
+        with_scratch(&COL_SCRATCH, self.col_rows() * self.cols(), |grad_col| {
+            grad_col.fill(0.0);
+            products(grad_col);
+            self.scatter(grad_in, grad_col);
+        });
+    }
+
+    /// Weight gradients of sample `ni`, accumulated onto `gws` (one
+    /// `weight_len` block per branch): one lowering, then each branch's
+    /// `gw_b += grad_out_b · colᵀ`.
+    fn backward_weight_sample(&self, gws: &mut [f32], grad_outs: &[&[f32]], ni: usize, img: &[f32]) {
+        let per = self.weight_len();
+        if self.is_depthwise() {
+            for (gw, go) in gws.chunks_exact_mut(per).zip(self.sample(grad_outs, ni)) {
+                self.stencil_backward_weight(gw, go, img);
+            }
+            return;
+        }
+        let (m, k, n) = (self.oc / self.groups, self.cols(), self.col_rows() / self.groups);
+        self.with_cols(img, |col| {
+            for (gw, go) in gws.chunks_exact_mut(per).zip(self.sample(grad_outs, ni)) {
+                self.for_each_group(|og, wg, cg| gemm_nt_into(&mut gw[wg], &go[og], &col[cg], m, k, n));
+            }
+        });
+    }
+}
+
+/// Lower one NCHW image batch into column form.
+///
+/// Returns a `[n, c*kh*kw, oh*ow]` tensor where each column holds the receptive
+/// field of one output location. The convolutions themselves never build this
+/// batch-wide tensor — they lower one sample at a time with the same routine.
+pub fn im2col(input: &Tensor, kh: usize, kw: usize, params: Conv2dParams) -> Result<Tensor> {
+    let &[n, c, h, w] = input.shape() else {
+        return Err(TensorError::RankMismatch { op: "im2col", expected: 4, actual: input.ndim() });
+    };
+    params.validate(c, h, w, kh, kw)?;
+    let g = Geom::lowering(c, h, w, 0, kh, kw, params);
+    let per = g.col_rows() * g.cols();
+    let mut out = vec![0.0f32; n * per];
+    if per > 0 {
+        for (col, img) in out.chunks_exact_mut(per).zip(input.as_slice().chunks_exact(g.in_len())) {
+            g.lower(col, img);
+        }
+    }
+    Tensor::from_vec(out, &[n, g.col_rows(), g.cols()])
 }
 
 /// Inverse of [`im2col`]: scatter-add column form back into an NCHW image batch.
@@ -134,136 +491,199 @@ pub fn col2im(
     if cols.ndim() != 3 {
         return Err(TensorError::RankMismatch { op: "col2im", expected: 3, actual: cols.ndim() });
     }
-    if out_shape.len() != 4 {
+    let &[n, c, h, w] = out_shape else {
         return Err(TensorError::InvalidArgument { msg: "col2im output shape must be NCHW".into() });
-    }
-    let (n, c, h, w) = (out_shape[0], out_shape[1], out_shape[2], out_shape[3]);
+    };
     params.validate(c, h, w, kh, kw)?;
-    let oh = params.out_size(h, kh);
-    let ow = params.out_size(w, kw);
-    let col_rows = c * kh * kw;
-    let col_cols = oh * ow;
-    if cols.shape() != [n, col_rows, col_cols] {
+    let g = Geom::lowering(c, h, w, 0, kh, kw, params);
+    if cols.shape() != [n, g.col_rows(), g.cols()] {
         return Err(TensorError::IncompatibleShapes {
             op: "col2im",
             lhs: cols.shape().to_vec(),
-            rhs: vec![n, col_rows, col_cols],
+            rhs: vec![n, g.col_rows(), g.cols()],
         });
     }
-    let src = cols.as_slice();
-    let mut out = vec![0.0f32; n * c * h * w];
-    let stride = params.stride;
-    let pad = params.padding as isize;
-
-    if c * h * w == 0 {
-        // Zero channels / extent: nothing to scatter back.
-        return Tensor::from_vec(out, out_shape);
+    let per = g.col_rows() * g.cols();
+    let mut out = vec![0.0f32; n * g.in_len()];
+    if per > 0 && g.in_len() > 0 {
+        for (img, col) in out.chunks_exact_mut(g.in_len()).zip(cols.as_slice().chunks_exact(per)) {
+            g.scatter(img, col);
+        }
     }
-    out.par_chunks_mut(c * h * w).enumerate().for_each(|(ni, img)| {
-        let chunk = &src[ni * col_rows * col_cols..(ni + 1) * col_rows * col_cols];
-        for ci in 0..c {
-            for ki in 0..kh {
-                for kj in 0..kw {
-                    let row = (ci * kh + ki) * kw + kj;
-                    let src_row = &chunk[row * col_cols..(row + 1) * col_cols];
-                    for ohi in 0..oh {
-                        let ih = (ohi * stride) as isize + ki as isize - pad;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        for owi in 0..ow {
-                            let iw = (owi * stride) as isize + kj as isize - pad;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            img[(ci * h + ih as usize) * w + iw as usize] += src_row[ohi * ow + owi];
+    Tensor::from_vec(out, out_shape)
+}
+
+/// Every tensor of `rest` must have the shape of `first`.
+fn same_shapes(op: &'static str, first: &Tensor, rest: &[&Tensor]) -> Result<()> {
+    match rest.iter().find(|t| t.shape() != first.shape()) {
+        Some(t) => {
+            Err(TensorError::IncompatibleShapes { op, lhs: first.shape().to_vec(), rhs: t.shape().to_vec() })
+        }
+        None => Ok(()),
+    }
+}
+
+/// The data of each tensor of `ts`.
+fn slices<'a>(ts: &[&'a Tensor]) -> Vec<&'a [f32]> {
+    ts.iter().map(|t| t.as_slice()).collect()
+}
+
+/// Forward of `input` through each of `weights` (same shape), lowering every
+/// sample once. `bias` is added to every branch's output.
+fn forward(
+    op: &'static str,
+    input: &Tensor,
+    weights: &[&Tensor],
+    bias: Option<&Tensor>,
+    params: Conv2dParams,
+) -> Result<Vec<Tensor>> {
+    let Some((first, rest)) = weights.split_first() else {
+        return Err(TensorError::InvalidArgument { msg: format!("{op} needs at least one weight") });
+    };
+    if first.ndim() != 4 {
+        return Err(TensorError::RankMismatch { op: "conv2d weight", expected: 4, actual: first.ndim() });
+    }
+    if input.ndim() != 4 {
+        return Err(TensorError::RankMismatch { op, expected: 4, actual: input.ndim() });
+    }
+    let (n, g) = Geom::new(op, input.shape(), first.shape(), params)?;
+    same_shapes(op, first, rest)?;
+    if let Some(b) = bias.filter(|b| b.shape() != [g.oc]) {
+        return Err(TensorError::IncompatibleShapes {
+            op: "conv2d bias",
+            lhs: vec![g.oc],
+            rhs: b.shape().to_vec(),
+        });
+    }
+    let (src, ws, out_len) = (input.as_slice(), slices(weights), g.out_len());
+    let mut outs: Vec<Vec<f32>> = weights.iter().map(|_| vec![0.0f32; n * out_len]).collect();
+    if out_len > 0 {
+        // Sample-major: each sample's output slice of every branch, adjacent.
+        let mut branches: Vec<_> = outs.iter_mut().map(|out| out.chunks_exact_mut(out_len)).collect();
+        let mut samples: Vec<&mut [f32]> = Vec::with_capacity(n * weights.len());
+        for _ in 0..n {
+            samples.extend(branches.iter_mut().filter_map(Iterator::next));
+        }
+        for_each_range(&mut samples, weights.len(), n * weights.len() * g.macs(), |first, range| {
+            for (ni, outs_n) in (first..).zip(range.chunks_exact_mut(weights.len())) {
+                g.forward_sample(outs_n, &src[ni * g.in_len()..(ni + 1) * g.in_len()], &ws);
+                if let Some(b) = bias {
+                    for out in outs_n.iter_mut() {
+                        for (plane, bv) in out.chunks_exact_mut(g.cols()).zip(b.as_slice()) {
+                            plane.iter_mut().for_each(|v| *v += bv);
                         }
                     }
                 }
             }
+        });
+    }
+    outs.into_iter().map(|out| Tensor::from_vec(out, &[n, g.oc, g.oh, g.ow])).collect()
+}
+
+/// Input gradient summed over branches `(grad_outs[b], weights[b])`.
+fn backward_input(
+    op: &'static str,
+    grad_outs: &[&Tensor],
+    weights: &[&Tensor],
+    input_shape: &[usize],
+    params: Conv2dParams,
+) -> Result<Tensor> {
+    let (Some((first_w, rest_w)), Some((first_g, rest_g))) = (weights.split_first(), grad_outs.split_first())
+    else {
+        return Err(TensorError::InvalidArgument { msg: format!("{op} needs at least one branch") });
+    };
+    if weights.len() != grad_outs.len() {
+        return Err(TensorError::InvalidArgument { msg: format!("{op}: one weight per output gradient") });
+    }
+    let (n, g) = Geom::new(op, input_shape, first_w.shape(), params)?;
+    same_shapes(op, first_w, rest_w)?;
+    same_shapes(op, first_g, rest_g)?;
+    if first_g.shape() != [n, g.oc, g.oh, g.ow] {
+        return Err(TensorError::IncompatibleShapes {
+            op,
+            lhs: first_g.shape().to_vec(),
+            rhs: vec![n, g.oc, g.oh, g.ow],
+        });
+    }
+    let (gos, ws, in_len) = (slices(grad_outs), slices(weights), g.in_len());
+    let mut grad_in = vec![0.0f32; n * in_len];
+    if in_len > 0 && g.out_len() > 0 {
+        for_each_range(&mut grad_in, in_len, n * weights.len() * g.macs(), |first, range| {
+            for (ni, gin) in (first..).zip(range.chunks_exact_mut(in_len)) {
+                g.backward_input_sample(gin, &gos, ni, &ws);
+            }
+        });
+    }
+    Tensor::from_vec(grad_in, input_shape)
+}
+
+/// Weight gradient of each branch `grad_outs[b]` over one lowering of `input`.
+fn backward_weight(
+    op: &'static str,
+    grad_outs: &[&Tensor],
+    input: &Tensor,
+    weight_shape: &[usize],
+    params: Conv2dParams,
+) -> Result<Vec<Tensor>> {
+    let Some((first_g, rest_g)) = grad_outs.split_first() else {
+        return Err(TensorError::InvalidArgument { msg: format!("{op} needs at least one branch") });
+    };
+    let (n, g) = Geom::new(op, input.shape(), weight_shape, params)?;
+    same_shapes(op, first_g, rest_g)?;
+    if first_g.shape() != [n, g.oc, g.oh, g.ow] {
+        return Err(TensorError::IncompatibleShapes {
+            op,
+            lhs: first_g.shape().to_vec(),
+            rhs: vec![n, g.oc, g.oh, g.ow],
+        });
+    }
+    let (gos, src, per) = (slices(grad_outs), input.as_slice(), g.weight_len());
+    if per == 0 || g.cols() == 0 {
+        return grad_outs.iter().map(|_| Tensor::from_vec(vec![0.0f32; per], weight_shape)).collect();
+    }
+
+    // Reduce over a fixed number of sample batches: each batch folds its
+    // samples into one gradient buffer via the accumulating nt kernel
+    // (gw += grad_out · colᵀ, transpose-free), bounding peak extra memory at
+    // `batches × branches × weight` instead of one gradient per sample. The
+    // batch count is a constant — not the host core count — so the float
+    // summation order (and therefore seeded training) is reproducible across
+    // machines and pool sizes; the fork rule only decides which thread folds
+    // which batches.
+    const WEIGHT_REDUCE_BATCHES: usize = 8;
+    let batches = WEIGHT_REDUCE_BATCHES.min(n.max(1));
+    let fold = n.div_ceil(batches);
+    let unit = grad_outs.len() * per;
+    let mut partials = vec![0.0f32; batches * unit];
+    for_each_range(&mut partials, unit, n * grad_outs.len() * g.macs(), |first, range| {
+        for (bi, gws) in (first..).zip(range.chunks_exact_mut(unit)) {
+            for ni in bi * fold..((bi + 1) * fold).min(n) {
+                let img = &src[ni * g.in_len()..(ni + 1) * g.in_len()];
+                g.backward_weight_sample(gws, &gos, ni, img);
+            }
         }
     });
-    Tensor::from_vec(out, out_shape)
+    let (acc, rest) = partials.split_at_mut(unit);
+    for partial in rest.chunks_exact(unit) {
+        for (a, v) in acc.iter_mut().zip(partial) {
+            *a += v;
+        }
+    }
+    acc.chunks_exact(per).map(|gw| Tensor::from_vec(gw.to_vec(), weight_shape)).collect()
 }
 
 impl Tensor {
     /// 2-D convolution of an NCHW input with an `[out_c, in_c/groups, kh, kw]`
     /// weight tensor and optional `[out_c]` bias.
     pub fn conv2d(&self, weight: &Tensor, bias: Option<&Tensor>, params: Conv2dParams) -> Result<Tensor> {
-        if self.ndim() != 4 {
-            return Err(TensorError::RankMismatch { op: "conv2d", expected: 4, actual: self.ndim() });
-        }
-        if weight.ndim() != 4 {
-            return Err(TensorError::RankMismatch {
-                op: "conv2d weight",
-                expected: 4,
-                actual: weight.ndim(),
-            });
-        }
-        let (n, c, h, w) = (self.shape()[0], self.shape()[1], self.shape()[2], self.shape()[3]);
-        let (oc, wc, kh, kw) = (weight.shape()[0], weight.shape()[1], weight.shape()[2], weight.shape()[3]);
-        params.validate(c, h, w, kh, kw)?;
-        let g = params.groups;
-        if wc != c / g || oc % g != 0 {
-            return Err(TensorError::IncompatibleShapes {
-                op: "conv2d",
-                lhs: self.shape().to_vec(),
-                rhs: weight.shape().to_vec(),
-            });
-        }
-        if let Some(b) = bias {
-            if b.shape() != [oc] {
-                return Err(TensorError::IncompatibleShapes {
-                    op: "conv2d bias",
-                    lhs: vec![oc],
-                    rhs: b.shape().to_vec(),
-                });
-            }
-        }
-        let oh = params.out_size(h, kh);
-        let ow = params.out_size(w, kw);
-        let cols = im2col(self, kh, kw, params)?;
-        let col_rows = c * kh * kw;
-        let col_cols = oh * ow;
-        let group_rows = col_rows / g; // (c/g)*kh*kw
-        let oc_g = oc / g;
-        let wsrc = weight.as_slice();
-        let csrc = cols.as_slice();
-        let mut out = vec![0.0f32; n * oc * col_cols];
+        Ok(forward("conv2d", self, &[weight], bias, params)?.swap_remove(0))
+    }
 
-        if oc * col_cols == 0 {
-            // Zero output channels: the result is an empty [n, 0, oh, ow].
-            return Tensor::from_vec(out, &[n, oc, oh, ow]);
-        }
-        out.par_chunks_mut(oc * col_cols).enumerate().for_each(|(ni, ochunk)| {
-            let col_n = &csrc[ni * col_rows * col_cols..(ni + 1) * col_rows * col_cols];
-            for gi in 0..g {
-                // weight slice for this group: [oc_g, group_rows]
-                let wg = &wsrc[gi * oc_g * group_rows..(gi + 1) * oc_g * group_rows];
-                let cg = &col_n[gi * group_rows * col_cols..(gi + 1) * group_rows * col_cols];
-                // Row-parallel GEMM only for batch-size-1 calls, where the
-                // sample-level loop above has a single chunk to hand out.
-                gemm_into(
-                    &mut ochunk[gi * oc_g * col_cols..(gi + 1) * oc_g * col_cols],
-                    wg,
-                    cg,
-                    oc_g,
-                    group_rows,
-                    col_cols,
-                    n == 1,
-                );
-            }
-            if let Some(b) = bias {
-                let bsrc = b.as_slice();
-                for oci in 0..oc {
-                    let bval = bsrc[oci];
-                    for v in ochunk[oci * col_cols..(oci + 1) * col_cols].iter_mut() {
-                        *v += bval;
-                    }
-                }
-            }
-        });
-        Tensor::from_vec(out, &[n, oc, oh, ow])
+    /// [`Tensor::conv2d`] through several same-shape weights at once, lowering
+    /// each input sample a single time: `result[b] = conv2d(self, weights[b])`,
+    /// bitwise.
+    pub fn conv2d_multi(&self, weights: &[&Tensor], params: Conv2dParams) -> Result<Vec<Tensor>> {
+        forward("conv2d_multi", self, weights, None, params)
     }
 
     /// Gradient of a conv2d output with respect to its input.
@@ -275,57 +695,19 @@ impl Tensor {
         input_shape: &[usize],
         params: Conv2dParams,
     ) -> Result<Tensor> {
-        if grad_out.ndim() != 4 || weight.ndim() != 4 || input_shape.len() != 4 {
-            return Err(TensorError::InvalidArgument {
-                msg: "conv2d_backward_input expects NCHW tensors".into(),
-            });
-        }
-        let (n, c, h, w) = (input_shape[0], input_shape[1], input_shape[2], input_shape[3]);
-        let (oc, _, kh, kw) = (weight.shape()[0], weight.shape()[1], weight.shape()[2], weight.shape()[3]);
-        params.validate(c, h, w, kh, kw)?;
-        let g = params.groups;
-        let oh = params.out_size(h, kh);
-        let ow = params.out_size(w, kw);
-        if grad_out.shape() != [n, oc, oh, ow] {
-            return Err(TensorError::IncompatibleShapes {
-                op: "conv2d_backward_input",
-                lhs: grad_out.shape().to_vec(),
-                rhs: vec![n, oc, oh, ow],
-            });
-        }
-        let col_rows = c * kh * kw;
-        let col_cols = oh * ow;
-        let group_rows = col_rows / g;
-        let oc_g = oc / g;
-        let wsrc = weight.as_slice();
-        let gsrc = grad_out.as_slice();
+        backward_input("conv2d_backward_input", &[grad_out], &[weight], input_shape, params)
+    }
 
-        // grad_cols[n] = Wᵀ · grad_out[n] (per group) — the tn kernel reads the
-        // weight with swapped strides, so no transposed copy is materialised.
-        let mut grad_cols = vec![0.0f32; n * col_rows * col_cols];
-        if col_rows * col_cols == 0 {
-            // Zero channels: the input gradient is an empty tensor.
-            let grad_cols = Tensor::from_vec(grad_cols, &[n, col_rows, col_cols])?;
-            return col2im(&grad_cols, input_shape, kh, kw, params);
-        }
-        grad_cols.par_chunks_mut(col_rows * col_cols).enumerate().for_each(|(ni, chunk)| {
-            let go_n = &gsrc[ni * oc * col_cols..(ni + 1) * oc * col_cols];
-            for gi in 0..g {
-                let wg = &wsrc[gi * oc_g * group_rows..(gi + 1) * oc_g * group_rows];
-                let go_g = &go_n[gi * oc_g * col_cols..(gi + 1) * oc_g * col_cols];
-                gemm_tn_into(
-                    &mut chunk[gi * group_rows * col_cols..(gi + 1) * group_rows * col_cols],
-                    wg,
-                    go_g,
-                    group_rows,
-                    oc_g,
-                    col_cols,
-                    n == 1,
-                );
-            }
-        });
-        let grad_cols = Tensor::from_vec(grad_cols, &[n, col_rows, col_cols])?;
-        col2im(&grad_cols, input_shape, kh, kw, params)
+    /// Input gradient of several convolutions of one input, summed:
+    /// `Σ_b conv2d_backward_input(grad_outs[b], weights[b])`, accumulated in
+    /// column form and scattered back onto the image once.
+    pub fn conv2d_backward_input_multi(
+        grad_outs: &[&Tensor],
+        weights: &[&Tensor],
+        input_shape: &[usize],
+        params: Conv2dParams,
+    ) -> Result<Tensor> {
+        backward_input("conv2d_backward_input_multi", grad_outs, weights, input_shape, params)
     }
 
     /// Gradient of a conv2d output with respect to its weight.
@@ -337,73 +719,20 @@ impl Tensor {
         weight_shape: &[usize],
         params: Conv2dParams,
     ) -> Result<Tensor> {
-        if grad_out.ndim() != 4 || input.ndim() != 4 || weight_shape.len() != 4 {
-            return Err(TensorError::InvalidArgument {
-                msg: "conv2d_backward_weight expects NCHW tensors".into(),
-            });
-        }
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let (oc, _wc, kh, kw) = (weight_shape[0], weight_shape[1], weight_shape[2], weight_shape[3]);
-        params.validate(c, h, w, kh, kw)?;
-        let g = params.groups;
-        let oh = params.out_size(h, kh);
-        let ow = params.out_size(w, kw);
-        if grad_out.shape() != [n, oc, oh, ow] {
-            return Err(TensorError::IncompatibleShapes {
-                op: "conv2d_backward_weight",
-                lhs: grad_out.shape().to_vec(),
-                rhs: vec![n, oc, oh, ow],
-            });
-        }
-        let cols = im2col(input, kh, kw, params)?;
-        let col_rows = c * kh * kw;
-        let col_cols = oh * ow;
-        let group_rows = col_rows / g;
-        let oc_g = oc / g;
-        let csrc = cols.as_slice();
-        let gsrc = grad_out.as_slice();
+        Ok(backward_weight("conv2d_backward_weight", &[grad_out], input, weight_shape, params)?
+            .swap_remove(0))
+    }
 
-        // Parallel reduce over a fixed number of sample batches: each batch
-        // folds its samples into one gradient buffer via the accumulating nt
-        // kernel (gw_g += grad_out_g · cols_gᵀ, transpose-free), bounding peak
-        // extra memory at `batches × oc × group_rows` instead of
-        // `n × oc × group_rows`. The batch count is a constant — not the host
-        // core count — so the float summation order (and therefore seeded
-        // training) is reproducible across machines.
-        const WEIGHT_REDUCE_BATCHES: usize = 8;
-        let batches = WEIGHT_REDUCE_BATCHES.min(n.max(1));
-        let per = n.div_ceil(batches);
-        let partials: Vec<Vec<f32>> = (0..batches)
-            .into_par_iter()
-            .map(|wi| {
-                let mut gw = vec![0.0f32; oc * group_rows];
-                for ni in wi * per..((wi + 1) * per).min(n) {
-                    let col_n = &csrc[ni * col_rows * col_cols..(ni + 1) * col_rows * col_cols];
-                    let go_n = &gsrc[ni * oc * col_cols..(ni + 1) * oc * col_cols];
-                    for gi in 0..g {
-                        let go_g = &go_n[gi * oc_g * col_cols..(gi + 1) * oc_g * col_cols];
-                        let col_g = &col_n[gi * group_rows * col_cols..(gi + 1) * group_rows * col_cols];
-                        gemm_nt_into(
-                            &mut gw[gi * oc_g * group_rows..(gi + 1) * oc_g * group_rows],
-                            go_g,
-                            col_g,
-                            oc_g,
-                            col_cols,
-                            group_rows,
-                            batches == 1,
-                        );
-                    }
-                }
-                gw
-            })
-            .collect();
-        let mut acc = vec![0.0f32; oc * group_rows];
-        for p in partials {
-            for (a, v) in acc.iter_mut().zip(p) {
-                *a += v;
-            }
-        }
-        Tensor::from_vec(acc, weight_shape)
+    /// Weight gradients of several convolutions of one input, lowering each
+    /// sample a single time: `result[b] = conv2d_backward_weight(grad_outs[b],
+    /// input)`, bitwise.
+    pub fn conv2d_backward_weight_multi(
+        grad_outs: &[&Tensor],
+        input: &Tensor,
+        weight_shape: &[usize],
+        params: Conv2dParams,
+    ) -> Result<Vec<Tensor>> {
+        backward_weight("conv2d_backward_weight_multi", grad_outs, input, weight_shape, params)
     }
 
     /// Gradient of a conv2d output with respect to its bias: sum over batch and
@@ -433,25 +762,26 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Direct (nested-loop) convolution used as a reference implementation.
-    fn naive_conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: Conv2dParams) -> Tensor {
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let (oc, _, kh, kw) = (weight.shape()[0], weight.shape()[1], weight.shape()[2], weight.shape()[3]);
-        let oh = p.out_size(h, kh);
-        let ow = p.out_size(w, kw);
-        let g = p.groups;
-        let cg = c / g;
-        let ocg = oc / g;
-        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+    /// Visit every multiply-add of a convolution as `(output index, input
+    /// index, weight index)` — the definition the three references share.
+    fn for_each_mac(
+        input_shape: &[usize],
+        weight_shape: &[usize],
+        p: Conv2dParams,
+        mut f: impl FnMut([usize; 4], [usize; 4], [usize; 4]),
+    ) {
+        let (n, c, h, w) = (input_shape[0], input_shape[1], input_shape[2], input_shape[3]);
+        let (oc, kh, kw) = (weight_shape[0], weight_shape[2], weight_shape[3]);
+        let (oh, ow) = (p.out_size(h, kh), p.out_size(w, kw));
+        let (cg, ocg) = (c / p.groups, oc / p.groups);
         for ni in 0..n {
             for oci in 0..oc {
-                let gi = oci / ocg;
                 for ohi in 0..oh {
                     for owi in 0..ow {
-                        let mut s = bias.map(|b| b.at(&[oci])).unwrap_or(0.0);
                         for ci in 0..cg {
                             for ki in 0..kh {
                                 for kj in 0..kw {
@@ -460,17 +790,176 @@ mod tests {
                                     if ih < 0 || iw < 0 || ih >= h as isize || iw >= w as isize {
                                         continue;
                                     }
-                                    s += input.at(&[ni, gi * cg + ci, ih as usize, iw as usize])
-                                        * weight.at(&[oci, ci, ki, kj]);
+                                    let cin = oci / ocg * cg + ci;
+                                    f(
+                                        [ni, oci, ohi, owi],
+                                        [ni, cin, ih as usize, iw as usize],
+                                        [oci, ci, ki, kj],
+                                    );
                                 }
                             }
                         }
-                        out.set(&[ni, oci, ohi, owi], s);
                     }
                 }
             }
         }
+    }
+
+    /// Direct (nested-loop) convolution used as a reference implementation.
+    fn naive_conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: Conv2dParams) -> Tensor {
+        let (oc, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
+        let (n, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
+        let mut out = Tensor::zeros(&[n, oc, p.out_size(h, kh), p.out_size(w, kw)]);
+        if let Some(b) = bias {
+            let plane = out.shape()[2] * out.shape()[3];
+            for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
+                *v = b.as_slice()[i / plane.max(1) % oc];
+            }
+        }
+        for_each_mac(input.shape(), weight.shape(), p, |o, i, k| {
+            out.set(&o, out.at(&o) + input.at(&i) * weight.at(&k));
+        });
         out
+    }
+
+    /// Direct input gradient: the adjoint of [`naive_conv2d`] in its input.
+    fn naive_backward_input(
+        grad_out: &Tensor,
+        weight: &Tensor,
+        input_shape: &[usize],
+        p: Conv2dParams,
+    ) -> Tensor {
+        let mut grad_in = Tensor::zeros(input_shape);
+        for_each_mac(input_shape, weight.shape(), p, |o, i, k| {
+            grad_in.set(&i, grad_in.at(&i) + grad_out.at(&o) * weight.at(&k));
+        });
+        grad_in
+    }
+
+    /// Direct weight gradient: the adjoint of [`naive_conv2d`] in its weight.
+    fn naive_backward_weight(
+        grad_out: &Tensor,
+        input: &Tensor,
+        weight_shape: &[usize],
+        p: Conv2dParams,
+    ) -> Tensor {
+        let mut grad_w = Tensor::zeros(weight_shape);
+        for_each_mac(input.shape(), weight_shape, p, |o, i, k| {
+            grad_w.set(&k, grad_w.at(&k) + grad_out.at(&o) * input.at(&i));
+        });
+        grad_w
+    }
+
+    /// The per-element `im2col` this crate shipped before the row-copy
+    /// lowering; the public function must still equal it bit for bit.
+    fn reference_im2col(input: &Tensor, kh: usize, kw: usize, p: Conv2dParams) -> Tensor {
+        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
+        let (oh, ow) = (p.out_size(h, kh), p.out_size(w, kw));
+        let mut cols = Tensor::zeros(&[n, c * kh * kw, oh * ow]);
+        // One ungrouped output channel visits every (channel, tap) once per position.
+        let ungrouped = Conv2dParams::new(p.stride, p.padding, 1);
+        for_each_mac(input.shape(), &[1, c, kh, kw], ungrouped, |o, i, k| {
+            cols.set(&[o[0], (i[1] * kh + k[2]) * kw + k[3], o[2] * ow + o[3]], input.at(&i));
+        });
+        cols
+    }
+
+    /// The per-element `col2im` this crate shipped before, accumulating in
+    /// `(c, ki, kj, oh, ow)` order per sample.
+    fn reference_col2im(cols: &Tensor, out_shape: &[usize], kh: usize, kw: usize, p: Conv2dParams) -> Tensor {
+        let (n, c, h, w) = (out_shape[0], out_shape[1], out_shape[2], out_shape[3]);
+        let (oh, ow) = (p.out_size(h, kh), p.out_size(w, kw));
+        let mut img = Tensor::zeros(out_shape);
+        for ni in 0..n {
+            for ci in 0..c {
+                for ki in 0..kh {
+                    for kj in 0..kw {
+                        for ohi in 0..oh {
+                            for owi in 0..ow {
+                                let ih = (ohi * p.stride + ki) as isize - p.padding as isize;
+                                let iw = (owi * p.stride + kj) as isize - p.padding as isize;
+                                if ih < 0 || iw < 0 || ih >= h as isize || iw >= w as isize {
+                                    continue;
+                                }
+                                let at = [ni, ci, ih as usize, iw as usize];
+                                let v = cols.at(&[ni, (ci * kh + ki) * kw + kj, ohi * ow + owi]);
+                                img.set(&at, img.at(&at) + v);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        img
+    }
+
+    /// One sample of an NCHW batch, as a batch of one.
+    fn sample(batch: &Tensor, i: usize) -> Tensor {
+        let len = batch.numel() / batch.shape()[0];
+        let mut shape = batch.shape().to_vec();
+        shape[0] = 1;
+        Tensor::from_vec(batch.as_slice()[i * len..(i + 1) * len].to_vec(), &shape).unwrap()
+    }
+
+    /// Pin every direction of one geometry: against the direct references,
+    /// the multi-weight entry points against the single-weight ones, batched
+    /// rows against batch-1 calls (bitwise), and `im2col` / `col2im` against
+    /// the per-element versions they replaced (bitwise).
+    fn check_geometry(
+        n: usize,
+        c: usize,
+        hw: (usize, usize),
+        oc: usize,
+        k: usize,
+        p: Conv2dParams,
+        seed: u64,
+    ) {
+        let what = format!("n{n} c{c} {hw:?} oc{oc} k{k} {p:?}");
+        let mut r = StdRng::seed_from_u64(seed);
+        let x = Tensor::randn(&[n, c, hw.0, hw.1], 0.0, 1.0, &mut r);
+        let wshape = [oc, c / p.groups, k, k];
+        let (wa, wb) = (Tensor::randn(&wshape, 0.0, 0.5, &mut r), Tensor::randn(&wshape, 0.0, 0.5, &mut r));
+        let bias = Tensor::randn(&[oc], 0.0, 0.5, &mut r);
+        let tol = 1e-5 * (wa.numel() / oc.max(1) + hw.0 * hw.1) as f32;
+
+        // Forward, both input-gradient and both weight-gradient entry points.
+        let ya = x.conv2d(&wa, Some(&bias), p).unwrap();
+        assert!(ya.allclose(&naive_conv2d(&x, &wa, Some(&bias), p), tol), "forward {what}");
+        let (ga, gb) =
+            (Tensor::randn(ya.shape(), 0.0, 1.0, &mut r), Tensor::randn(ya.shape(), 0.0, 1.0, &mut r));
+        let gin = Tensor::conv2d_backward_input(&ga, &wa, x.shape(), p).unwrap();
+        assert!(gin.allclose(&naive_backward_input(&ga, &wa, x.shape(), p), tol), "backward input {what}");
+        let gw = Tensor::conv2d_backward_weight(&ga, &x, &wshape, p).unwrap();
+        let gw_tol = tol * (n * ya.shape()[2] * ya.shape()[3]).max(1) as f32;
+        assert!(gw.allclose(&naive_backward_weight(&ga, &x, &wshape, p), gw_tol), "backward weight {what}");
+
+        // Shared lowering: per-branch results are the single-weight results.
+        let plain = [x.conv2d(&wa, None, p).unwrap(), x.conv2d(&wb, None, p).unwrap()];
+        let multi = x.conv2d_multi(&[&wa, &wb], p).unwrap();
+        assert!(multi.iter().zip(&plain).all(|(m, s)| m.as_slice() == s.as_slice()), "multi forward {what}");
+        let gws = Tensor::conv2d_backward_weight_multi(&[&ga, &gb], &x, &wshape, p).unwrap();
+        assert_eq!(gws[0].as_slice(), gw.as_slice(), "multi weight grad a {what}");
+        let gwb = Tensor::conv2d_backward_weight(&gb, &x, &wshape, p).unwrap();
+        assert_eq!(gws[1].as_slice(), gwb.as_slice(), "multi weight grad b {what}");
+        let gin_multi = Tensor::conv2d_backward_input_multi(&[&ga, &gb], &[&wa, &wb], x.shape(), p).unwrap();
+        let gin_sum = gin.add(&Tensor::conv2d_backward_input(&gb, &wb, x.shape(), p).unwrap()).unwrap();
+        assert!(gin_multi.allclose(&gin_sum, 2.0 * tol), "multi input grad {what}");
+
+        // A sample's results do not depend on what else is in the batch.
+        for i in 0..n {
+            let xi = sample(&x, i);
+            let yi = xi.conv2d(&wa, Some(&bias), p).unwrap();
+            assert_eq!(sample(&ya, i).as_slice(), yi.as_slice(), "forward row {i} of {what}");
+            let gi = Tensor::conv2d_backward_input(&sample(&ga, i), &wa, xi.shape(), p).unwrap();
+            assert_eq!(sample(&gin, i).as_slice(), gi.as_slice(), "input-grad row {i} of {what}");
+        }
+
+        // The public lowering and its adjoint, bit for bit.
+        let cols = im2col(&x, k, k, p).unwrap();
+        assert_eq!(cols.as_slice(), reference_im2col(&x, k, k, p).as_slice(), "im2col {what}");
+        let y = Tensor::randn(cols.shape(), 0.0, 1.0, &mut r);
+        let back = col2im(&y, x.shape(), k, k, p).unwrap();
+        assert_eq!(back.as_slice(), reference_col2im(&y, x.shape(), k, k, p).as_slice(), "col2im {what}");
     }
 
     fn rng() -> StdRng {
@@ -733,5 +1222,84 @@ mod tests {
                                          // Exact fit still yields one output position.
         let p = Conv2dParams::new(3, 0, 1);
         assert_eq!(p.out_size(4, 4), 1);
+    }
+
+    #[test]
+    fn every_path_matches_the_references() {
+        // (n, c, (h, w), oc, k, stride, pad, groups): each path at least once
+        // with H ≠ W, plus the shapes where ranges of valid taps degenerate.
+        for (i, &(n, c, hw, oc, k, stride, pad, groups)) in [
+            (3, 4, (7, 5), 6, 3, 1, 1, 1), // generic
+            (2, 4, (9, 6), 4, 3, 2, 1, 2), // generic, strided, grouped
+            (2, 3, (5, 8), 5, 1, 1, 0, 1), // point-wise: no lowering
+            (3, 4, (6, 4), 6, 1, 1, 0, 2), // point-wise, grouped
+            (2, 2, (7, 5), 3, 1, 2, 0, 1), // 1×1 but strided: generic
+            (2, 5, (8, 6), 5, 3, 1, 1, 5), // depth-wise stencil
+            (3, 4, (9, 7), 4, 3, 2, 1, 4), // depth-wise, strided
+            (2, 3, (6, 9), 3, 5, 3, 2, 3), // depth-wise, wide kernel and stride
+            (1, 2, (3, 3), 2, 5, 1, 2, 1), // kernel wider than the image
+            (2, 1, (4, 6), 1, 2, 1, 0, 1), // one channel: also a stencil
+        ]
+        .iter()
+        .enumerate()
+        {
+            check_geometry(n, c, hw, oc, k, Conv2dParams::new(stride, pad, groups), 100 + i as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random geometry through [`check_geometry`]: kernel 1–5, stride
+        /// 1–3, padding 0–2, H ≠ W, groups ∈ {1, 2, C}, batch 1–9.
+        #[test]
+        fn random_geometry_matches_the_references(
+            (k, stride, pad) in (1usize..6, 1usize..4, 0usize..3),
+            (h, w) in (2usize..9, 2usize..9),
+            (n, per_group, out_per_group) in (1usize..10, 1usize..4, 1usize..4),
+            group_kind in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+            let (c, oc, groups) = match group_kind {
+                0 => (per_group, out_per_group, 1),
+                1 => (2 * per_group, 2 * out_per_group, 2),
+                _ => (per_group + 1, per_group + 1, per_group + 1),
+            };
+            check_geometry(n, c, (h, w), oc, k, Conv2dParams::new(stride, pad, groups), seed);
+        }
+    }
+
+    #[test]
+    fn forked_regions_are_bitwise_the_inline_ones() {
+        // 8 × 32·144·256 multiply-adds: far over the fork constant, so pools
+        // of 2 and 4 really cut the batch into ranges — and must reproduce
+        // the one-thread (inline) result and the batch-1 rows bit for bit.
+        let mut r = rng();
+        let p = Conv2dParams::new(1, 1, 1);
+        let x = Tensor::randn(&[8, 16, 16, 16], 0.0, 1.0, &mut r);
+        let (wa, wb) = (
+            Tensor::randn(&[32, 16, 3, 3], 0.0, 0.2, &mut r),
+            Tensor::randn(&[32, 16, 3, 3], 0.0, 0.2, &mut r),
+        );
+        let g = Tensor::randn(&[8, 32, 16, 16], 0.0, 1.0, &mut r);
+        let all = |threads: usize| {
+            rayon::ThreadPool::new(threads).install(|| {
+                let mut out = x.conv2d_multi(&[&wa, &wb], p).unwrap();
+                out.push(Tensor::conv2d_backward_input_multi(&[&g, &g], &[&wa, &wb], x.shape(), p).unwrap());
+                out.extend(Tensor::conv2d_backward_weight_multi(&[&g, &g], &x, wa.shape(), p).unwrap());
+                out
+            })
+        };
+        let inline = all(1);
+        for threads in [2, 4] {
+            for (forked, inline) in all(threads).iter().zip(&inline) {
+                assert_eq!(forked.as_slice(), inline.as_slice(), "{threads} threads");
+            }
+        }
+        for i in 0..8 {
+            let row = sample(&x, i).conv2d(&wa, None, p).unwrap();
+            assert_eq!(sample(&inline[0], i).as_slice(), row.as_slice(), "row {i}");
+        }
     }
 }

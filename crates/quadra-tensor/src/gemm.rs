@@ -25,35 +25,17 @@
 //! still participate (and with blocking the branch was a pessimisation
 //! anyway).
 
-use rayon::prelude::*;
-use std::cell::RefCell;
+use crate::fork::{for_each_range, with_scratch, Scratch};
+use std::cell::Cell;
 
 thread_local! {
     /// Reusable packing buffer for `B` panels. GEMM is called thousands of
     /// times per training epoch; reusing the scratch avoids a fresh ~256 KiB
     /// zeroed allocation (and its page faults) on every call. The pack
     /// routines overwrite every slot they expose, so stale contents are fine.
-    static B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Reusable packing buffer for `A` row-block panels (separate cell from
-    /// [`B_SCRATCH`] so the parallel path can borrow both without conflict
-    /// when the closure runs inline on the calling thread).
-    static A_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Borrow a thread-local scratch buffer grown to at least `len` floats.
-// quadra-analyze: allow(panic_path:indexing, the buffer is resized to at least len on the line above the slice)
-fn with_scratch<R>(
-    cell: &'static std::thread::LocalKey<RefCell<Vec<f32>>>,
-    len: usize,
-    f: impl FnOnce(&mut [f32]) -> R,
-) -> R {
-    cell.with(|c| {
-        let mut buf = c.borrow_mut();
-        if buf.len() < len {
-            buf.resize(len, 0.0);
-        }
-        f(&mut buf[..len])
-    })
+    static B_SCRATCH: Scratch = const { Cell::new(Vec::new()) };
+    /// Reusable packing buffer for `A` row-block panels.
+    static A_SCRATCH: Scratch = const { Cell::new(Vec::new()) };
 }
 
 /// Micro-kernel tile height (rows of `C` accumulated in registers).
@@ -67,12 +49,6 @@ const MC: usize = 128;
 /// Below this many multiply-adds the packed path costs more than it saves and
 /// the dispatcher falls back to a plain triple loop.
 const SMALL_GEMM_FLOPS: usize = 32 * 32 * 32;
-/// Minimum multiply-adds before the parallel row-block path is worth the
-/// task dispatch: the persistent work-stealing pool no longer spawns OS
-/// threads per call, but queueing and latch traffic still cost more than a
-/// just-over-[`SMALL_GEMM_FLOPS`] matmul saves.
-const PAR_MIN_FLOPS: usize = 1 << 18;
-
 /// A strided read-only view of a row-major operand: element `(i, j)` of the
 /// *logical* (post-transpose) matrix lives at `data[i * rs + j * cs]`.
 #[derive(Clone, Copy)]
@@ -231,10 +207,13 @@ fn block_rows(c: &mut [f32], n: usize, kc: usize, mc: usize, apack: &[f32], bpac
 
 /// Cache-blocked driver: accumulate `op(A) · op(B)` into `c[m×n]`.
 ///
-/// When `parallel` is set and there is more than one row block, row blocks are
-/// distributed over threads; the shared packed `B` panel is read-only.
+/// With `fork` set, each `k`-panel's sweep over the rows of `C` goes through
+/// the crate's fork rule; the shared packed `B` panel is read-only. Row
+/// ranges are whole `MR`-row strips and each output element is computed
+/// entirely within one strip, so the split (and with it pool size and the
+/// fork decision) affects scheduling only, never numerics.
 // quadra-analyze: allow(panic_path:indexing, the public entry points size c to m*n and the scratch closures size their buffers from the same extents)
-fn gemm_blocked_views(c: &mut [f32], m: usize, k: usize, n: usize, a: View<'_>, b: View<'_>, parallel: bool) {
+fn gemm_blocked_views(c: &mut [f32], m: usize, k: usize, n: usize, a: View<'_>, b: View<'_>, fork: bool) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -247,37 +226,18 @@ fn gemm_blocked_views(c: &mut [f32], m: usize, k: usize, n: usize, a: View<'_>, 
             let bpanel = &mut bpack[..kc * nb * NR];
             pack_b(bpanel, b, pc, kc, n);
             let bpanel = &bpanel[..];
-            // Parallel row-block height: aim for ~2 stealable blocks per pool
-            // thread (rounded down to a multiple of MR) so the work-stealing
-            // pool can rebalance under skew, capped at MC so the packed `A`
-            // block stays cache-sized. `current_num_threads` is the single
-            // source of truth for pool size (honors QUADRA_NUM_THREADS).
-            // Block height never changes results — each output element is
-            // computed entirely within one block, so thread count only
-            // affects scheduling, not numerics.
-            let workers = rayon::current_num_threads();
-            let bh = (m / (2 * workers).max(1)).clamp(MR, MC) / MR * MR;
-            if parallel && m > bh && m.saturating_mul(k).saturating_mul(n) >= PAR_MIN_FLOPS {
-                c.par_chunks_mut(bh * n).enumerate().for_each(|(blk, chunk)| {
-                    let i0 = blk * bh;
-                    let mc = bh.min(m - i0);
-                    // Worker threads have their own A_SCRATCH, so this nests
-                    // safely even when the closure runs inline on this thread.
-                    with_scratch(&A_SCRATCH, mc.div_ceil(MR) * kc * MR, |apack| {
-                        pack_a(apack, a, pc, kc, i0, mc);
-                        block_rows(chunk, n, kc, mc, apack, bpanel);
-                    });
-                });
-            } else {
-                with_scratch(&A_SCRATCH, MC.min(m).div_ceil(MR) * kc * MR, |apack| {
-                    for i0 in (0..m).step_by(MC) {
-                        let mc = MC.min(m - i0);
+            let macs = if fork { m.saturating_mul(kc).saturating_mul(n) } else { 0 };
+            for_each_range(c, MR * n, macs, |strip0, rows| {
+                let (row0, nrows) = (strip0 * MR, rows.len() / n);
+                with_scratch(&A_SCRATCH, MC.min(nrows).div_ceil(MR) * kc * MR, |apack| {
+                    for i0 in (0..nrows).step_by(MC) {
+                        let mc = MC.min(nrows - i0);
                         let ap = &mut apack[..mc.div_ceil(MR) * kc * MR];
-                        pack_a(ap, a, pc, kc, i0, mc);
-                        block_rows(&mut c[i0 * n..(i0 + mc) * n], n, kc, mc, ap, bpanel);
+                        pack_a(ap, a, pc, kc, row0 + i0, mc);
+                        block_rows(&mut rows[i0 * n..(i0 + mc) * n], n, kc, mc, ap, bpanel);
                     }
                 });
-            }
+            });
             pc += kc;
         }
     });
@@ -305,11 +265,15 @@ fn gemm_naive_views(c: &mut [f32], m: usize, k: usize, n: usize, a: View<'_>, b:
     }
 }
 
-fn dispatch(c: &mut [f32], m: usize, k: usize, n: usize, a: View<'_>, b: View<'_>, parallel: bool) {
+/// Kernel choice depends on the product's own `(m, k, n)` only — never on
+/// batch size, pool size or `fork` — so a given product always sees the same
+/// kernel and summation order (naive and blocked differ in the last ulp once
+/// `k` spans more than one `KC` panel).
+fn dispatch(c: &mut [f32], m: usize, k: usize, n: usize, a: View<'_>, b: View<'_>, fork: bool) {
     if m.saturating_mul(k).saturating_mul(n) <= SMALL_GEMM_FLOPS {
         gemm_naive_views(c, m, k, n, a, b);
     } else {
-        gemm_blocked_views(c, m, k, n, a, b, parallel);
+        gemm_blocked_views(c, m, k, n, a, b, fork);
     }
 }
 
@@ -339,7 +303,7 @@ fn view_nt_b(b: &[f32], k: usize, n: usize) -> View<'_> {
     View { data: &b[..n * k], rs: 1, cs: k }
 }
 
-/// `C[m×n] = A[m×k] · B[k×n]`, blocked and (for large `m`) row-parallel.
+/// `C[m×n] = A[m×k] · B[k×n]`, blocked and (for large products) row-parallel.
 pub fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
     dispatch(&mut c, m, k, n, view_nn_a(a, m, k), view_nn_b(b, k, n), true);
@@ -362,27 +326,26 @@ pub fn gemm_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
 
 /// Accumulate `A[m×k] · B[k×n]` into `c[m×n]` in place.
 ///
-/// The `*_into` variants take an explicit `parallel` flag: callers inside
-/// already-parallel loops (per-sample conv, per-batch `bmm`) pass `false` to
-/// avoid oversubscribing, but flip it to `true` when their outer loop has a
-/// single chunk (batch-size-1 inference) so the row-block parallelism is not
-/// lost. They *accumulate*, so `c` must be pre-zeroed for a plain product and
-/// repeated calls sum naturally (used by the conv weight reduce).
-pub fn gemm_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize, parallel: bool) {
+/// The `*_into` variants never fork: their callers (per-sample conv passes,
+/// per-batch `bmm`) own the parallel region and decide it once, through the
+/// crate's fork rule. They *accumulate*, so `c` must be pre-zeroed for a plain
+/// product and repeated calls sum naturally (used by the conv weight reduce
+/// and the shared column gradient of multi-branch convolutions).
+pub fn gemm_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert!(c.len() >= m * n, "gemm_into: output buffer too small");
-    dispatch(c, m, k, n, view_nn_a(a, m, k), view_nn_b(b, k, n), parallel);
+    dispatch(c, m, k, n, view_nn_a(a, m, k), view_nn_b(b, k, n), false);
 }
 
 /// Accumulate `A[m×k] · Bᵀ` (with `b` stored `[n, k]`) into `c[m×n]` in place.
-pub fn gemm_nt_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize, parallel: bool) {
+pub fn gemm_nt_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert!(c.len() >= m * n, "gemm_nt_into: output buffer too small");
-    dispatch(c, m, k, n, view_nn_a(a, m, k), view_nt_b(b, k, n), parallel);
+    dispatch(c, m, k, n, view_nn_a(a, m, k), view_nt_b(b, k, n), false);
 }
 
 /// Accumulate `Aᵀ · B[k×n]` (with `a` stored `[k, m]`) into `c[m×n]` in place.
-pub fn gemm_tn_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize, parallel: bool) {
+pub fn gemm_tn_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert!(c.len() >= m * n, "gemm_tn_into: output buffer too small");
-    dispatch(c, m, k, n, view_tn_a(a, m, k), view_nn_b(b, k, n), parallel);
+    dispatch(c, m, k, n, view_tn_a(a, m, k), view_nn_b(b, k, n), false);
 }
 
 /// `C = A · B` through the blocked path regardless of size, single-threaded —
@@ -492,7 +455,7 @@ mod tests {
         let a = randvec(6, 11);
         let b = randvec(6, 12);
         let mut c = vec![1.0f32; 4];
-        gemm_into(&mut c, &a, &b, 2, 3, 2, false);
+        gemm_into(&mut c, &a, &b, 2, 3, 2);
         let plain = gemm_naive(&a, &b, 2, 3, 2);
         for (cv, pv) in c.iter().zip(plain.iter()) {
             assert!((cv - (pv + 1.0)).abs() < 1e-5);

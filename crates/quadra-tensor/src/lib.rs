@@ -38,6 +38,7 @@
 
 mod conv;
 mod error;
+mod fork;
 pub mod gemm;
 mod init;
 mod manip;

@@ -3,9 +3,9 @@
 //! layer backward passes use.
 
 use crate::error::{Result, TensorError};
+use crate::fork::for_each_range;
 use crate::gemm::{gemm, gemm_into, gemm_nt, gemm_tn};
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 impl Tensor {
     /// Matrix product of two rank-2 tensors: `[m, k] · [k, n] -> [m, n]`.
@@ -87,20 +87,19 @@ impl Tensor {
         let a = self.as_slice();
         let bb = other.as_slice();
         let mut out = vec![0.0f32; b * m * n];
-        if b > 0 && m * n > 0 {
-            // Each batch writes its slice of `out` in place; the inner kernel
-            // stays serial except for single-batch calls, where row-block
-            // parallelism is the only available layer.
-            out.par_chunks_mut(m * n).enumerate().for_each(|(i, chunk)| {
-                gemm_into(
-                    chunk,
-                    &a[i * m * k..(i + 1) * m * k],
-                    &bb[i * k * n..(i + 1) * k * n],
-                    m,
-                    k,
-                    n,
-                    b == 1,
-                );
+        if m * n > 0 {
+            // Batches are independent; whether they fork is the region's call.
+            for_each_range(&mut out, m * n, b * m * k * n, |first, range| {
+                for (i, chunk) in (first..).zip(range.chunks_mut(m * n)) {
+                    gemm_into(
+                        chunk,
+                        &a[i * m * k..(i + 1) * m * k],
+                        &bb[i * k * n..(i + 1) * k * n],
+                        m,
+                        k,
+                        n,
+                    );
+                }
             });
         }
         Tensor::from_vec(out, &[b, m, n])

@@ -111,16 +111,17 @@ proptest! {
 
 /// Deterministic MR/NR/MC/KC edge coverage through every pool size: shapes
 /// straddle the 8-wide micro-tile, the MC = 128 row block, and the KC = 256
-/// k-panel, and the larger ones clear the parallel-dispatch FLOP threshold so
-/// the row blocks really run as stealable pool tasks.
+/// k-panel, and the larger ones clear the crate's fork constant (2 M
+/// multiply-adds per k-panel) so their row ranges really run as stealable
+/// pool tasks.
 #[test]
 fn parallel_gemm_tile_edges_across_thread_counts() {
     let shapes = [
-        (7usize, 9usize, 8usize), // under one MR×NR tile, stays sequential
-        (129, 256, 16),           // one row past MC, exactly one KC panel
-        (136, 257, 24),           // MC-multiple rows, one past KC
-        (300, 40, 33),            // several row blocks, ragged NR edge
-        (256, 300, 8),            // k spans two KC panels, narrow n
+        (7usize, 9usize, 8usize), // under one MR×NR tile, stays inline
+        (129, 256, 64),           // one row past MC, exactly one KC panel
+        (136, 257, 64),           // MC-multiple rows, one past KC (second panel inline)
+        (300, 40, 201),           // several row ranges, ragged NR edge
+        (256, 300, 40),           // k spans two KC panels, narrow n
     ];
     for threads in pool_sizes() {
         let pool = ThreadPool::new(threads);

@@ -132,8 +132,6 @@ fn router_fleet(image: usize, n_serve: usize) {
     assert_eq!(resnet.model_version, 0);
     assert_eq!(mobile.errored_requests + resnet.errored_requests, 0);
     assert!(mobile.completed_batch_class >= 1, "mixed priorities exercised");
-    assert!(mobile.peak_batch_activation_bytes > 0, "per-model memory attribution present");
-    assert!(resnet.peak_batch_activation_bytes > 0);
     assert_eq!(metrics.total_completed_requests(), mobile.completed_requests + resnet.completed_requests);
 }
 
