@@ -1,8 +1,9 @@
 //! Minimal recursive-descent JSON parser.
 //!
-//! The analyzer writes its report, baseline, and cache files with the
-//! hand-rolled serializers in [`report`](crate::report) and friends; this
-//! module is the matching read side, so the crate stays dependency-free (no
+//! The analyzer writes its report and baseline files with the hand-rolled
+//! serializers in [`report`](crate::report) and
+//! [`baseline`](crate::baseline); this module is the read side of the
+//! baseline, so the crate stays dependency-free (no
 //! vendored serde). It parses the full JSON grammar the analyzer emits —
 //! objects, arrays, strings with the escapes [`report`](crate::report)'s
 //! `json_str` produces, integers/floats, booleans, null — and nothing

@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod cache;
 pub mod config;
 pub mod json;
 pub mod lexer;
@@ -60,9 +59,8 @@ pub fn analyze_root(root: &Path, cfg: &AnalyzeConfig) -> std::io::Result<Report>
 }
 
 /// Collect every workspace `.rs` file as `(workspace-relative path, content)`
-/// pairs, in a deterministic order. Exposed so the CLI can hash the file set
-/// for the incremental cache before deciding whether to analyze at all.
-pub fn collect_workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+/// pairs, in a deterministic order.
+fn collect_workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files: Vec<(String, String)> = Vec::new();
     let mut src_dirs: Vec<PathBuf> = vec![root.join("src")];
     for group in ["crates", "vendor"] {

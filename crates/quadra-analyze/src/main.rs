@@ -1,6 +1,5 @@
 //! CLI entry point: `cargo run -p quadra-analyze -- [--deny] [--root DIR]
-//! [--report PATH] [--baseline PATH] [--write-baseline PATH] [--no-cache]
-//! [--cache PATH]`.
+//! [--report PATH] [--baseline PATH] [--write-baseline PATH]`.
 //!
 //! Prints the human diff-style report to stdout, writes the machine-readable
 //! `ANALYZE_report.json` at the workspace root (or `--report PATH`), and with
@@ -11,42 +10,31 @@
 //! committed baseline (ratcheting: existing debt is tolerated, new debt is
 //! not, and the baseline may only shrink). `--write-baseline PATH` snapshots
 //! the current unsuppressed findings to ratchet the file down after fixes.
-//!
-//! Runs are incremental: the full analysis output is cached in
-//! `target/analyze-cache.json` keyed by per-file content hashes plus a
-//! config/version fingerprint, and an unchanged workspace replays the
-//! previous output byte-for-byte without re-lexing anything. `--no-cache`
-//! forces a fresh run; `--cache PATH` relocates the cache file.
 
 use quadra_analyze::baseline::Baseline;
-use quadra_analyze::cache::{fnv1a, CacheFile};
-use quadra_analyze::{analyze_sources, collect_workspace_sources, AnalyzeConfig, Report};
+use quadra_analyze::{analyze_root, AnalyzeConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 fn main() -> ExitCode {
     let mut deny = false;
-    let mut no_cache = false;
     let mut root: Option<PathBuf> = None;
     let mut report_path: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
     let mut write_baseline_path: Option<PathBuf> = None;
-    let mut cache_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => deny = true,
-            "--no-cache" => no_cache = true,
             "--root" => root = args.next().map(PathBuf::from),
             "--report" => report_path = args.next().map(PathBuf::from),
             "--baseline" => baseline_path = args.next().map(PathBuf::from),
             "--write-baseline" => write_baseline_path = args.next().map(PathBuf::from),
-            "--cache" => cache_path = args.next().map(PathBuf::from),
             "--help" | "-h" => {
                 println!(
                     "usage: quadra-analyze [--deny] [--root DIR] [--report PATH] \
-                     [--baseline PATH] [--write-baseline PATH] [--no-cache] [--cache PATH]"
+                     [--baseline PATH] [--write-baseline PATH]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -66,67 +54,22 @@ fn main() -> ExitCode {
     let cfg = AnalyzeConfig::workspace();
 
     let started = Instant::now();
-    let sources = match collect_workspace_sources(&root) {
-        Ok(s) => s,
+    let report = match analyze_root(&root, &cfg) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("quadra-analyze: failed to read sources under {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    // Fingerprint everything besides file contents that shapes the output:
-    // the policy config, the analyzer version, and the pass list.
-    let fingerprint = fnv1a(
-        format!("{:?}|{}|{}", cfg, env!("CARGO_PKG_VERSION"), quadra_analyze::source::PASSES.join(","))
-            .as_bytes(),
-    );
-    let cache_file = cache_path.unwrap_or_else(|| root.join("target").join("analyze-cache.json"));
-    let cached: Option<CacheFile> = if no_cache {
-        None
-    } else {
-        std::fs::read_to_string(&cache_file).ok().and_then(|text| CacheFile::from_json(&text).ok())
-    };
 
-    let (report, report_json, human, cache_note) = match cached {
-        Some(c) if c.matches(fingerprint, &sources) => {
-            // Unchanged workspace: replay the previous run verbatim.
-            let report = match Report::from_json(&c.report_json) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("quadra-analyze: corrupt cache at {}: {e}", cache_file.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let note = format!("cache hit: all {} file hashes unchanged", sources.len());
-            (report, c.report_json, c.human, note)
-        }
-        stale => {
-            let report = analyze_sources(&sources, &cfg);
-            let report_json = report.to_json();
-            let human = report.human();
-            let entry = CacheFile::new(fingerprint, &sources, report_json.clone(), human.clone());
-            if !no_cache {
-                // Best-effort: a missing target/ or read-only checkout only
-                // costs the next run a re-analysis.
-                let _ = std::fs::create_dir_all(cache_file.parent().unwrap_or(&root));
-                let _ = std::fs::write(&cache_file, entry.to_json());
-            }
-            let note = match (no_cache, stale) {
-                (true, _) => "cache disabled".to_string(),
-                (false, None) => "cache miss: no previous run".to_string(),
-                (false, Some(_)) => "cache miss: inputs changed".to_string(),
-            };
-            (report, report_json, human, note)
-        }
-    };
-
-    print!("{human}");
+    print!("{}", report.human());
     let out = report_path.unwrap_or_else(|| root.join("ANALYZE_report.json"));
-    if let Err(e) = std::fs::write(&out, &report_json) {
+    if let Err(e) = std::fs::write(&out, report.to_json()) {
         eprintln!("quadra-analyze: failed to write {}: {e}", out.display());
         return ExitCode::from(2);
     }
     println!("report written to {}", out.display());
-    println!("analysis completed in {}ms ({cache_note})", started.elapsed().as_millis());
+    println!("analysis completed in {}ms", started.elapsed().as_millis());
 
     if let Some(path) = write_baseline_path {
         let snapshot = Baseline::from_report(&report);

@@ -122,60 +122,6 @@ impl Report {
         out
     }
 
-    /// Parse a report previously written by [`Report::to_json`]. Snippets
-    /// are not serialized, so they come back empty — baseline matching and
-    /// deny gating never look at them.
-    pub fn from_json(text: &str) -> Result<Report, String> {
-        use crate::json::{self, Json};
-        let doc = json::parse(text)?;
-        if doc.get("tool").and_then(Json::as_str) != Some("quadra-analyze") {
-            return Err("not a quadra-analyze report (missing tool tag)".to_string());
-        }
-        let files_analyzed =
-            doc.get("files_analyzed").and_then(Json::as_u64).ok_or("report missing `files_analyzed`")?
-                as usize;
-        let mut findings = Vec::new();
-        for item in doc.get("findings").and_then(Json::as_array).ok_or("report missing `findings`")? {
-            let field = |k: &str| {
-                item.get(k)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("finding missing `{k}`"))
-            };
-            findings.push(Finding {
-                pass: field("pass")?,
-                check: field("check")?,
-                file: field("file")?,
-                line: item.get("line").and_then(Json::as_u64).ok_or("finding missing `line`")? as u32,
-                message: field("message")?,
-                snippet: String::new(),
-                suppressed_reason: item.get("reason").and_then(Json::as_str).map(str::to_string),
-            });
-        }
-        let mut unused_suppressions = Vec::new();
-        let unused = doc
-            .get("unused_suppressions")
-            .and_then(Json::as_array)
-            .ok_or("report missing `unused_suppressions`")?;
-        for item in unused {
-            unused_suppressions.push(UnusedSuppression {
-                file: item
-                    .get("file")
-                    .and_then(Json::as_str)
-                    .ok_or("unused suppression missing `file`")?
-                    .to_string(),
-                line: item.get("line").and_then(Json::as_u64).ok_or("unused suppression missing `line`")?
-                    as u32,
-                target: item
-                    .get("target")
-                    .and_then(Json::as_str)
-                    .ok_or("unused suppression missing `target`")?
-                    .to_string(),
-            });
-        }
-        Ok(Report { findings, unused_suppressions, files_analyzed })
-    }
-
     /// Serialize the machine-readable report.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -292,28 +238,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("msg with \\\"quotes\\\""));
         assert!(json.contains("\"unsuppressed\": 1"));
-    }
-
-    #[test]
-    fn json_roundtrips_without_snippets() {
-        let report = Report {
-            findings: vec![finding("a", false), finding("b", true)],
-            unused_suppressions: vec![UnusedSuppression {
-                file: "f.rs".to_string(),
-                line: 7,
-                target: "a:c".to_string(),
-            }],
-            files_analyzed: 3,
-        };
-        let parsed = Report::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.files_analyzed, 3);
-        assert_eq!(parsed.unsuppressed_count(), 1);
-        assert_eq!(parsed.suppressed_count(), 1);
-        assert_eq!(parsed.findings[0].message, "msg with \"quotes\"");
-        assert_eq!(parsed.findings[1].suppressed_reason.as_deref(), Some("reason"));
-        assert_eq!(parsed.unused_suppressions[0].target, "a:c");
-        // Snippets are not serialized.
-        assert_eq!(parsed.findings[0].snippet, "");
     }
 
     #[test]

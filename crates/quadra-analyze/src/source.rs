@@ -6,8 +6,7 @@
 use crate::lexer::{lex, LineComment, Tok, TokKind};
 use std::collections::BTreeMap;
 
-/// Every pass name a suppression directive may target. Also feeds the
-/// incremental-cache fingerprint: adding a pass invalidates cached runs.
+/// Every pass name a suppression directive may target.
 pub const PASSES: [&str; 8] =
     ["lock_order", "panic_path", "clock", "must_use", "atomics", "condvar", "hot_alloc", "suppression"];
 

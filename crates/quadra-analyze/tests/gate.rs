@@ -1,9 +1,8 @@
-//! Gate-semantics tests: baseline ratcheting and the incremental-run cache,
-//! exercised through the library API end-to-end (real analyses over
-//! in-memory fixtures, real files for the cache under `CARGO_TARGET_TMPDIR`).
+//! Gate-semantics tests: baseline ratcheting, exercised through the library
+//! API end-to-end (real analyses over in-memory fixtures, real baseline files
+//! under `CARGO_TARGET_TMPDIR`).
 
 use quadra_analyze::baseline::Baseline;
-use quadra_analyze::cache::{fnv1a, CacheFile};
 use quadra_analyze::{analyze_sources, AnalyzeConfig, Report};
 use std::path::PathBuf;
 
@@ -91,50 +90,4 @@ fn baseline_files_roundtrip_through_disk() {
     let loaded = Baseline::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert_eq!(loaded, baseline);
     assert!(loaded.new_findings(&report).is_empty());
-}
-
-#[test]
-fn cached_run_replays_report_byte_identical() {
-    let cfg = AnalyzeConfig::default();
-    let sources: Vec<(String, String)> =
-        vec![("crates/fixture/src/lib.rs".to_string(), HELD_ACROSS_SEND.to_string())];
-    let report = analyze_sources(&sources, &cfg);
-    let report_json = report.to_json();
-    let human = report.human();
-    let fingerprint = fnv1a(format!("{cfg:?}").as_bytes());
-
-    // Persist (what the CLI does after a miss), reload, and verify a hit
-    // replays the exact bytes.
-    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("gate_cache.json");
-    let entry = CacheFile::new(fingerprint, &sources, report_json.clone(), human.clone());
-    std::fs::write(&path, entry.to_json()).unwrap();
-    let loaded = CacheFile::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    assert!(loaded.matches(fingerprint, &sources));
-    assert_eq!(loaded.report_json, report_json);
-    assert_eq!(loaded.human, human);
-
-    // The replayed report supports gating decisions without re-analysis.
-    let replayed = Report::from_json(&loaded.report_json).unwrap();
-    assert_eq!(replayed.unsuppressed_count(), report.unsuppressed_count());
-    assert!(Baseline::from_report(&replayed).new_findings(&report).is_empty());
-}
-
-#[test]
-fn cache_misses_on_edit_and_on_config_change() {
-    let cfg = AnalyzeConfig::default();
-    let sources: Vec<(String, String)> =
-        vec![("crates/fixture/src/lib.rs".to_string(), HELD_ACROSS_SEND.to_string())];
-    let fingerprint = fnv1a(format!("{cfg:?}").as_bytes());
-    let entry = CacheFile::new(fingerprint, &sources, String::new(), String::new());
-
-    // Editing any file invalidates.
-    let mut edited = sources.clone();
-    edited[0].1.push_str("\n// trailing comment\n");
-    assert!(!entry.matches(fingerprint, &edited));
-
-    // Changing the config (here: enabling a pass) changes the fingerprint.
-    let stricter = AnalyzeConfig { condvar_crates: vec!["fixture".to_string()], ..AnalyzeConfig::default() };
-    let other_fingerprint = fnv1a(format!("{stricter:?}").as_bytes());
-    assert_ne!(fingerprint, other_fingerprint);
-    assert!(!entry.matches(other_fingerprint, &sources));
 }

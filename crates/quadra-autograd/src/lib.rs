@@ -1,36 +1,30 @@
 //! # quadra-autograd
 //!
-//! A small, tape-based reverse-mode automatic-differentiation engine over
-//! [`quadra_tensor::Tensor`], plus finite-difference gradient-checking
-//! utilities used throughout the QuadraLib-rs test suite.
+//! Finite-difference gradient checking for the closed-form backward passes of
+//! QuadraLib-rs.
 //!
-//! In the paper's terminology this crate is the "Auto-Differentiation (AD)"
-//! half of the hybrid back-propagation story: every intermediate value is
-//! recorded on the tape and kept alive until `backward` runs, which is exactly
-//! why QDNN training with default AD is memory-hungry (problem **P6**). The
-//! quadratic layers in `quadra-core` instead use closed-form ("symbolic")
-//! gradients and cache only what those formulas need; the memory profiler can
-//! compare both, reproducing Fig. 8 of the paper.
+//! Every layer in `quadra-nn` and every quadratic layer in `quadra-core`
+//! back-propagates by hand: each `backward` applies the layer's closed-form
+//! ("symbolic") gradient and caches only what that formula needs, which is
+//! what lets hybrid back-propagation trade recomputation for activation
+//! memory (Fig. 8 of the paper). This crate checks those hand-written
+//! gradients against central finite differences.
 //!
 //! ## Example
 //!
 //! ```
-//! use quadra_autograd::Graph;
+//! use quadra_autograd::{check_close, numeric_gradient};
 //! use quadra_tensor::Tensor;
 //!
-//! let mut g = Graph::new();
-//! let x = g.input(Tensor::from_slice(&[1.0, 2.0, 3.0]));
-//! let w = g.input(Tensor::from_slice(&[0.5, 0.5, 0.5]));
-//! let wx = g.mul(x, w);          // element-wise product
-//! let loss = g.sum(wx);          // scalar loss
-//! g.backward(loss);
-//! assert_eq!(g.grad(x).unwrap().as_slice(), &[0.5, 0.5, 0.5]);
+//! // f(x) = sum(w ∘ x) has the closed-form gradient w.
+//! let w = Tensor::from_slice(&[0.5, -1.0, 2.0]);
+//! let x = Tensor::from_slice(&[1.0, 2.0, 3.0]);
+//! let numeric = numeric_gradient(|t| w.mul(t).unwrap().sum(), &x, 1e-3);
+//! assert!(check_close(&w, &numeric).passes(1e-2));
 //! ```
 
 #![warn(missing_docs)]
 
 mod gradcheck;
-mod graph;
 
 pub use gradcheck::{check_close, numeric_gradient, GradCheckReport};
-pub use graph::{Graph, Op, VarId};

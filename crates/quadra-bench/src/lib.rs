@@ -1,4 +1,4 @@
-//! Shared harness code for the QuadraLib-rs benchmark binaries.
+//! Shared harness code for the QuadraLib-rs paper reproduction binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (`table1`–`table6`, `fig5`, `fig7`, `fig8`, `fig10`); this library holds the

@@ -1,8 +1,7 @@
 //! A small blocking client for the gateway's wire protocol.
 //!
-//! This is the reference implementation of the client side — the loopback
-//! integration tests and the `gateway_load` open-loop bench both speak the
-//! protocol through it. Two usage styles:
+//! This is the reference implementation of the client side — the gateway's
+//! integration tests speak the protocol through it. Two usage styles:
 //!
 //! * [`GatewayClient::call`] — one request, block for its reply (simple
 //!   request/response callers).

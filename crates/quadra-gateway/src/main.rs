@@ -14,9 +14,8 @@
 //! * `resnet:16` — ResNet-20 (width 8) on `[n, 3, 16, 16]` images.
 //!
 //! On startup the binary prints exactly one line to stdout —
-//! `quadra-gateway listening on ADDR` — which a supervising process (the
-//! `gateway_load` bench, the loopback smoke) parses to learn the ephemeral
-//! port. It then serves until **stdin reaches EOF**, which triggers the
+//! `quadra-gateway listening on ADDR` — which a supervising process (see
+//! `tests/binary.rs`) parses to learn the ephemeral port. It then serves until **stdin reaches EOF**, which triggers the
 //! graceful drain; final router metrics land on stderr. Driving shutdown
 //! through stdin keeps the contract portable (no signal handling) and makes
 //! "kill it cleanly from a script" a one-liner: close the pipe.

@@ -8,7 +8,8 @@
 //! examples and downstream users can depend on a single package:
 //!
 //! * [`tensor`] — the dense `f32` tensor substrate,
-//! * [`autograd`] — tape-based reverse-mode AD + gradient checking,
+//! * [`autograd`] — finite-difference gradient checking for the hand-written
+//!   backward passes,
 //! * [`nn`] — first-order layers, losses, optimizers, schedulers, training loop,
 //! * [`core`] — quadratic neurons, quadratic layers, hybrid back-propagation,
 //!   memory profiler, auto-builder and analysis tools (the paper's contribution),

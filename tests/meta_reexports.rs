@@ -2,7 +2,7 @@
 //! re-export must resolve, and a small quadratic forward/backward round-trip
 //! must run entirely through the re-exported paths.
 
-use quadralib::autograd::Graph;
+use quadralib::autograd::{check_close, numeric_gradient};
 use quadralib::core::{BackpropMode, NeuronType, QuadraticLinear};
 use quadralib::data::xor_dataset;
 use quadralib::models::vgg8_config;
@@ -18,12 +18,10 @@ fn all_reexports_resolve() {
     let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
     assert_eq!(t.shape(), &[2, 2]);
 
-    // autograd
-    let mut g = Graph::new();
-    let x = g.input(Tensor::from_slice(&[2.0, 3.0]));
-    let s = g.sum(x);
-    g.backward(s);
-    assert_eq!(g.grad(x).unwrap().as_slice(), &[1.0, 1.0]);
+    // autograd: d(sum x)/dx is all ones
+    let x = Tensor::from_slice(&[2.0, 3.0]);
+    let numeric = numeric_gradient(|t| t.sum(), &x, 1e-2);
+    assert!(check_close(&Tensor::ones_like(&x), &numeric).passes(1e-3));
 
     // nn: the Layer trait is the cross-crate contract quadratic layers build on
     let mut rng = StdRng::seed_from_u64(0);
