@@ -5,7 +5,7 @@
 //! its multiply-adds clear [`FORK_MIN_MACS`], and then into a few contiguous
 //! ranges per pool thread — never one task per item. A fork on the work-
 //! stealing pool costs 20–40 µs of queueing, latch and wake-up traffic per
-//! task; an inference-sized product (≤ 1.2 M multiply-adds, ~100 µs) cannot
+//! task; an inference-sized region (≤ 3.5 M multiply-adds, ≤ ~200 µs) cannot
 //! win that back, a training-sized one (≥ 7 M) can.
 //!
 //! The split never changes results: callers cut along items whose outputs are
@@ -18,11 +18,14 @@ use std::thread::LocalKey;
 
 /// Multiply-adds a region needs before forking pays. Measured on the 2-vCPU
 /// reference box by timing `conv2d` at batch 8 with and without the fork over
-/// a ladder of region sizes (see CHANGES.md, PR 21): the forked region loses
-/// below ~1 M multiply-adds, breaks even between 1 M and 2 M, and wins above.
-/// The benchmark's inference regions (≤ 1.2 M) and training regions (≥ 7 M)
-/// sit on either side.
-pub(crate) const FORK_MIN_MACS: usize = 2_000_000;
+/// a ladder of region sizes (see CHANGES.md): with the fused-multiply-add GEMM
+/// kernel a region runs 2–3× faster than with the mul+add one the constant
+/// was first set against, so the fixed fork cost weighs more; the forked
+/// region now loses up to ~2.4 M multiply-adds, breaks even between ~3.5 M
+/// and ~5 M, and wins from ~6 M up. The benchmark's inference regions
+/// (≤ 3.5 M, the quadratic ResNet's three-branch convolutions at batch 8) and
+/// training regions (≥ 7 M) sit on either side.
+pub(crate) const FORK_MIN_MACS: usize = 4_000_000;
 
 /// Contiguous ranges handed to the pool per thread: enough slack for a thief
 /// to rebalance a descheduled vCPU, few enough that task overhead stays a

@@ -1,7 +1,8 @@
 //! Property-based tests of the blocked GEMM kernels against the naive
 //! triple-loop reference: random shapes including edge sizes 0/1 and sizes
 //! that are not multiples of the MR×NR tile, plus the transpose-free
-//! `nt`/`tn` variants against transpose-then-gemm.
+//! `nt`/`tn` variants against transpose-then-gemm, and bitwise agreement of
+//! the in-place and packed `B` layouts on every pool size.
 
 use proptest::prelude::*;
 use quadra_tensor::gemm::{
@@ -53,8 +54,8 @@ proptest! {
         let slow = gemm_naive(&a, &b, m, k, n);
         let tol = 1e-4 * (k.max(1) as f32);
         assert_close(&gemm_blocked(&a, &b, m, k, n), &slow, tol);
-        // The public dispatcher (naive fallback below the blocking threshold)
-        // must agree as well.
+        // The public entry point (row-parallel for large products) must agree
+        // as well.
         assert_close(&gemm(&a, &b, m, k, n), &slow, tol);
     }
 
@@ -110,18 +111,18 @@ proptest! {
 }
 
 /// Deterministic MR/NR/MC/KC edge coverage through every pool size: shapes
-/// straddle the 8-wide micro-tile, the MC = 128 row block, and the KC = 256
-/// k-panel, and the larger ones clear the crate's fork constant (2 M
+/// straddle the 8×16 micro-tile, the MC = 128 row block, and the KC = 256
+/// k-panel, and the larger ones clear the crate's fork constant (4 M
 /// multiply-adds per k-panel) so their row ranges really run as stealable
 /// pool tasks.
 #[test]
 fn parallel_gemm_tile_edges_across_thread_counts() {
     let shapes = [
         (7usize, 9usize, 8usize), // under one MR×NR tile, stays inline
-        (129, 256, 64),           // one row past MC, exactly one KC panel
-        (136, 257, 64),           // MC-multiple rows, one past KC (second panel inline)
-        (300, 40, 201),           // several row ranges, ragged NR edge
-        (256, 300, 40),           // k spans two KC panels, narrow n
+        (129, 256, 128),          // one row past MC, exactly one KC panel
+        (136, 257, 128),          // MC-multiple rows, one past KC (second panel inline)
+        (300, 70, 201),           // several row ranges, ragged NR edge
+        (256, 300, 70),           // k spans two KC panels, ragged NR edge
     ];
     for threads in pool_sizes() {
         let pool = ThreadPool::new(threads);
@@ -132,6 +133,36 @@ fn parallel_gemm_tile_edges_across_thread_counts() {
             let tol = 1e-4 * (k as f32);
             let fast = pool.install(|| gemm(&a, &b, m, k, n));
             assert_close(&fast, &slow, tol);
+        }
+    }
+}
+
+/// A row-major `B` is read in place and a stored-transposed one is packed;
+/// both feed the same micro-kernel in the same order, so `gemm` and `gemm_nt`
+/// agree to the bit with each other on every pool size, and every pool size
+/// agrees to the bit with a one-thread pool. The shapes straddle the 16-wide
+/// tile edge and the larger ones clear the fork constant.
+#[test]
+fn b_layouts_agree_bitwise_across_thread_counts() {
+    let shapes = [
+        (7usize, 9usize, 8usize), // under one tile: all of B is the padded edge
+        (16, 27, 1024),           // conv stem shape, whole 16-wide blocks
+        (129, 256, 128),
+        (136, 257, 134), // second KC panel, ragged right edge
+        (300, 70, 201),
+        (256, 300, 73),
+    ];
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for &(m, k, n) in &shapes {
+        let a = randvec(m * k, (m * 17 + k * 5 + n) as u64);
+        let b = randvec(k * n, (m + k * 11 + n * 7) as u64);
+        let bt = transpose(&b, k, n);
+        let single = bits(&ThreadPool::new(1).install(|| gemm(&a, &b, m, k, n)));
+        for threads in pool_sizes() {
+            let pool = ThreadPool::new(threads);
+            let (in_place, packed) = pool.install(|| (gemm(&a, &b, m, k, n), gemm_nt(&a, &bt, m, k, n)));
+            assert!(bits(&in_place) == single, "({m},{k},{n}) in-place B on {threads} threads");
+            assert!(bits(&packed) == single, "({m},{k},{n}) packed B on {threads} threads");
         }
     }
 }
