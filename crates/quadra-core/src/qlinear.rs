@@ -546,36 +546,34 @@ mod tests {
     }
 
     #[test]
-    fn backward_gradcheck_weights_ours() {
-        let mut r = rng();
-        let mut layer = QuadraticLinear::new(NeuronType::Ours, 4, 3, &mut r);
-        let x = Tensor::randn(&[3, 4], 0.0, 1.0, &mut r);
-        let y = layer.forward(&x, true);
-        layer.backward(&Tensor::ones_like(&y));
-        // Check each weight's gradient numerically.
-        for idx in 0..3 {
-            let analytic = layer.params()[idx].grad.clone();
-            let x2 = x.clone();
-            let wa = layer.wa.as_ref().unwrap().value.clone();
-            let wb = layer.wb.as_ref().unwrap().value.clone();
-            let wc = layer.wc.as_ref().unwrap().value.clone();
-            let f = move |w: &Tensor| {
-                let (wa, wb, wc) = match idx {
-                    0 => (w.clone(), wb.clone(), wc.clone()),
-                    1 => (wa.clone(), w.clone(), wc.clone()),
-                    _ => (wa.clone(), wb.clone(), w.clone()),
-                };
-                let za = x2.matmul(&wa).unwrap();
-                let zb = x2.matmul(&wb).unwrap();
-                za.mul(&zb).unwrap().add(&x2.matmul(&wc).unwrap()).unwrap().sum()
-            };
-            let numeric = numeric_gradient(f, &layer.params()[idx].value, 1e-3);
-            let rep = check_close(&analytic, &numeric);
-            assert!(rep.passes(5e-2), "weight {}: {:?}", idx, rep);
+    fn backward_weight_gradcheck_all_types() {
+        // Every parameter of every neuron type, under default and hybrid BP,
+        // against central differences of `<reference_forward(x), probe>`.
+        for t in NeuronType::ALL {
+            for mode in [BackpropMode::Default, BackpropMode::Hybrid] {
+                let mut r = rng();
+                let (fin, fout) = if t == NeuronType::T4Identity { (4, 4) } else { (4, 3) };
+                let mut layer = QuadraticLinear::new(t, fin, fout, &mut r);
+                layer.set_mode(mode);
+                let x = Tensor::randn(&[3, fin], 0.0, 1.0, &mut r);
+                let probe = Tensor::randn(&[3, fout], 0.0, 1.0, &mut r);
+                layer.forward(&x, true);
+                layer.backward(&probe);
+                let analytic: Vec<Tensor> = layer.params().iter().map(|p| p.grad.clone()).collect();
+                let layer = std::cell::RefCell::new(layer);
+                for (idx, analytic) in analytic.iter().enumerate() {
+                    let w0 = layer.borrow().params()[idx].value.clone();
+                    let wrt_param = |w: &Tensor| {
+                        layer.borrow_mut().params_mut()[idx].value = w.clone();
+                        reference_forward(&layer.borrow(), &x).mul(&probe).unwrap().sum()
+                    };
+                    let numeric = numeric_gradient(wrt_param, &w0, 1e-3);
+                    layer.borrow_mut().params_mut()[idx].value = w0;
+                    let rep = check_close(analytic, &numeric);
+                    assert!(rep.passes(5e-2), "param {idx}, type {t} {mode}: {rep:?}");
+                }
+            }
         }
-        // Bias gradient: sum of ones over the batch.
-        let gb = layer.params().last().unwrap().grad.clone();
-        assert_eq!(gb.as_slice(), &[3.0, 3.0, 3.0]);
     }
 
     #[test]

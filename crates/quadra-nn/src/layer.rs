@@ -259,15 +259,16 @@ impl Residual {
 
 impl Layer for Residual {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let branch = self.body.forward(x, train);
-        let skip = match &mut self.shortcut {
-            Some(s) => s.forward(x, train),
-            None => x.clone(),
+        let mut out = self.body.forward(x, train);
+        let sum = match &mut self.shortcut {
+            Some(s) => out.add_assign(&s.forward(x, train)),
+            None => out.add_assign(x),
         };
-        let mut out = branch.add(&skip).expect("residual shapes must match");
+        sum.expect("residual shapes must match");
         if self.final_relu {
             self.relu_mask = train.then(|| out.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
-            out = out.relu();
+            // The op `Tensor::relu` applies, without a fresh tensor.
+            out.map_inplace(|v| v.max(0.0));
         }
         out
     }

@@ -5,8 +5,12 @@
 //! portable Rust around one explicit fused-multiply-add micro-kernel:
 //!
 //! * the `k` dimension is split into panels of at most `KC`,
-//! * rows of `C` are processed in blocks of `MC`; each block packs its slice
-//!   of `A` into `[kc][MR]` micro-panels (column-major within the panel),
+//! * `A` is read in one form only, `PackedA`: packed whole before the
+//!   blocked loops run, per `k`-panel into `[kc][MR]` micro-panels
+//!   (column-major within the panel, the last one zero-padded to `MR`
+//!   rows). The public entry points pack their `A` on entry; a convolution
+//!   packs each weight once per call and reuses it for every sample it
+//!   multiplies,
 //! * a `B` with contiguous rows (`gemm`, `gemm_tn`) is read in place: the
 //!   micro-kernel walks `NR` columns down the row stride. Only a partial last
 //!   column block is copied, into a zero-padded `[kc][NR]` panel, so the
@@ -21,11 +25,12 @@
 //!
 //! Every tile sees the same arithmetic — accumulators start at zero, take one
 //! fused multiply-add per `k` in panel order, and are then added into `C` — so
-//! neither the `B` layout (in place or packed) nor the fork changes a bit of
-//! the result. Every product takes this one kernel, however small: with a
-//! size cut to a second kernel, a linear layer (whose `m` is the batch) would
-//! sum a batch's rows in another order than its batch-1 forwards. Below ~16³
-//! multiply-adds the packing costs ~0.1–0.5 µs more than a triple loop would.
+//! neither the `B` layout (in place or packed), nor how many products share
+//! one packed `A`, nor the fork changes a bit of the result. Every product
+//! takes this one kernel, however small: with a size cut to a second kernel,
+//! a linear layer (whose `m` is the batch) would sum a batch's rows in
+//! another order than its batch-1 forwards. Below ~16³ multiply-adds the
+//! packing costs ~0.1–0.5 µs more than a triple loop would.
 //!
 //! Transposed operands are handled by the packing step (the micro-panels are
 //! read with swapped strides), so `gemm_nt` / `gemm_tn` never materialise a
@@ -48,8 +53,9 @@ thread_local! {
     /// fresh zeroed allocation (and its page faults) on every call. The pack
     /// routines overwrite every slot they expose, so stale contents are fine.
     static B_SCRATCH: Scratch = const { Cell::new(Vec::new()) };
-    /// Reusable packing buffer for `A` row-block panels.
-    static A_SCRATCH: Scratch = const { Cell::new(Vec::new()) };
+    /// The [`PackedA`] a public entry point packs on entry, kept for the
+    /// next call for the same reason.
+    static A_SCRATCH: Cell<PackedA> = const { Cell::new(PackedA { data: Vec::new(), m: 0, k: 0 }) };
 }
 
 /// Micro-kernel tile height (rows of `C` accumulated in registers).
@@ -58,8 +64,6 @@ pub const MR: usize = 8;
 pub const NR: usize = 16;
 /// `k`-panel depth: one packed `B` panel holds at most `KC * n` floats.
 const KC: usize = 256;
-/// Row-block height: rows of `C` handled per (possibly parallel) block.
-const MC: usize = 128;
 /// A strided read-only view of a row-major operand: element `(i, j)` of the
 /// *logical* (post-transpose) matrix lives at `data[i * rs + j * cs]`. Every
 /// view has `rs == 1` (stored transposed) or `cs == 1` (plain row-major).
@@ -98,34 +102,79 @@ fn pack_b(bpack: &mut [f32], b: View<'_>, pc: usize, kc: usize, cols: Range<usiz
     }
 }
 
-/// Pack rows `i0..i0+mc` (columns `pc..pc+kc`) of the logical `A` into
-/// `[kc][MR]` micro-panels (column-major inside each panel), zero-padded.
-/// Specialised like [`pack_b`] for the contiguous-row / contiguous-column
-/// layouts.
-// quadra-analyze: allow(panic_path:indexing, panel extents are derived from kc/mc exactly as the caller sized apack; checked indexing in the pack loop costs ~15% of total GEMM time)
-fn pack_a(apack: &mut [f32], a: View<'_>, pc: usize, kc: usize, i0: usize, mc: usize) {
-    let mb = mc.div_ceil(MR);
-    for ib in 0..mb {
-        let r0 = ib * MR;
-        let mr = MR.min(mc - r0);
-        let panel = &mut apack[ib * kc * MR..(ib + 1) * kc * MR];
-        if mr < MR {
-            panel.fill(0.0);
-        }
-        if a.rs == 1 {
-            for p in 0..kc {
-                let src = &a.data[(pc + p) * a.cs + i0 + r0..][..mr];
-                panel[p * MR..p * MR + mr].copy_from_slice(src);
+/// Pack the logical `A[m×k]` whole into `apack` (`packed_len(m, k)` floats):
+/// `k`-panel `pc` starts at `pc * m.div_ceil(MR) * MR` and holds the
+/// `[kc][MR]` micro-panels (column-major inside each panel) of every
+/// `MR`-row block in order, the last block zero-padded. Specialised like
+/// [`pack_b`] for the contiguous-row / contiguous-column layouts.
+// quadra-analyze: allow(panic_path:indexing, panel extents are derived from m, k and KC exactly as packed_len sized apack; checked indexing in the pack loop costs ~15% of total GEMM time)
+fn pack_a(apack: &mut [f32], a: View<'_>, m: usize, k: usize) {
+    let rows = m.div_ceil(MR) * MR;
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        for (ib, panel) in apack[pc * rows..(pc + kc) * rows].chunks_exact_mut(kc * MR).enumerate() {
+            let r0 = ib * MR;
+            let mr = MR.min(m - r0);
+            if mr < MR {
+                panel.fill(0.0);
             }
-        } else {
-            for ii in 0..mr {
-                let src = &a.data[(i0 + r0 + ii) * a.rs + pc..][..kc];
-                for (p, &v) in src.iter().enumerate() {
-                    panel[p * MR + ii] = v;
+            if a.rs == 1 {
+                for p in 0..kc {
+                    let src = &a.data[(pc + p) * a.cs + r0..][..mr];
+                    panel[p * MR..p * MR + mr].copy_from_slice(src);
+                }
+            } else {
+                for ii in 0..mr {
+                    let src = &a.data[(r0 + ii) * a.rs + pc..][..kc];
+                    for (p, &v) in src.iter().enumerate() {
+                        panel[p * MR + ii] = v;
+                    }
                 }
             }
         }
     }
+}
+
+/// Floats of a packed `m×k` operand: every `MR`-row block, zero-padded.
+fn packed_len(m: usize, k: usize) -> usize {
+    m.div_ceil(MR) * MR * k
+}
+
+/// An `A[m×k]` operand in the one form the blocked loops read (see
+/// [`pack_a`]). Packing only moves bytes, so a product through a `PackedA`
+/// is bitwise the product of the operand it was packed from, however often
+/// it is reused. Shared read-only, it serves every sample of a convolution
+/// and every row range of a fork.
+#[derive(Default)]
+pub(crate) struct PackedA {
+    data: Vec<f32>,
+    m: usize,
+    k: usize,
+}
+
+impl PackedA {
+    /// Pack `A[m×k]` in place of what this operand held, reusing its storage:
+    /// `a` is `A` stored row-major `[m, k]`, or with `transposed`, `Aᵀ`
+    /// stored row-major `[k, m]`. `pack_a` writes every slot, so stale
+    /// contents are fine.
+    pub(crate) fn pack(&mut self, a: &[f32], m: usize, k: usize, transposed: bool) {
+        let view = if transposed { view_tn_a(a, m, k) } else { view_nn_a(a, m, k) };
+        self.data.resize(packed_len(m, k), 0.0);
+        pack_a(&mut self.data, view, m, k);
+        (self.m, self.k) = (m, k);
+    }
+}
+
+/// Run `f` on `a` packed into this thread's reusable [`PackedA`].
+///
+/// Like [`with_scratch`], the operand is taken out of the cell while `f`
+/// runs, so a re-entrant call on this thread packs into a fresh one.
+fn with_packed_a<R>(a: &[f32], m: usize, k: usize, transposed: bool, f: impl FnOnce(&PackedA) -> R) -> R {
+    let mut packed = A_SCRATCH.with(Cell::take);
+    packed.pack(a, m, k, transposed);
+    let out = f(&packed);
+    A_SCRATCH.with(|cell| cell.set(packed));
+    out
 }
 
 /// One `k`-panel of the logical `B` as the micro-kernel reads it. Column
@@ -218,7 +267,8 @@ fn micro_kernel(
     }
 }
 
-/// Sweep every micro-tile of one packed row block.
+/// Sweep every micro-tile of `mc` rows of `C`, whose `A` micro-panels are
+/// `apack`'s first `mc.div_ceil(MR)`.
 // quadra-analyze: allow(panic_path:indexing, panel slicing mirrors the pack routines' layout; mb/nb are div_ceil of the same extents)
 fn block_rows(c: &mut [f32], n: usize, kc: usize, mc: usize, apack: &[f32], b: BPanel<'_>) {
     let mb = mc.div_ceil(MR);
@@ -234,21 +284,23 @@ fn block_rows(c: &mut [f32], n: usize, kc: usize, mc: usize, apack: &[f32], b: B
     }
 }
 
-/// Cache-blocked driver: accumulate `op(A) · op(B)` into `c[m×n]`.
+/// Cache-blocked loop nest: accumulate `A · op(B)` into `c[m×n]`.
 ///
 /// A row-major `B` is read in place (only its partial edge block is packed);
 /// a stored-transposed one is packed per `k`-panel. With `fork` set, each
 /// `k`-panel's sweep over the rows of `C` goes through the crate's fork rule;
-/// `B` is shared read-only. Row ranges are whole `MR`-row strips and each
-/// output element is computed entirely within one strip, so the split (and
-/// with it pool size and the fork decision) affects scheduling only, never
-/// numerics.
+/// `A` and `B` are shared read-only. Row ranges are whole `MR`-row strips, so
+/// each reads whole micro-panels of `A`, and each output element is computed
+/// entirely within one strip: the split (and with it pool size and the fork
+/// decision) affects scheduling only, never numerics.
 // quadra-analyze: allow(panic_path:indexing, the public entry points size c to m*n and the scratch closures size their buffers from the same extents)
-fn gemm_blocked_views(c: &mut [f32], m: usize, k: usize, n: usize, a: View<'_>, b: View<'_>, fork: bool) {
+fn gemm_packed(c: &mut [f32], a: &PackedA, b: View<'_>, n: usize, fork: bool) {
+    let (m, k) = (a.m, a.k);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
     let c = &mut c[..m * n];
+    let rows = m.div_ceil(MR) * MR;
     // Rows of `B` contiguous and back to back (`view_nn_b`): read in place. A
     // stored-transposed `B` with `k == 1` also has unit strides, but its row
     // stride of 1 is no row stride the kernel can walk, so it is packed.
@@ -268,17 +320,10 @@ fn gemm_blocked_views(c: &mut [f32], m: usize, k: usize, n: usize, a: View<'_>, 
             } else {
                 BPanel { data: bpack, ld: NR, step: kc * NR, full: usize::MAX, edge: &[] }
             };
+            let apanels = &a.data[pc * rows..(pc + kc) * rows];
             let macs = if fork { m.saturating_mul(kc).saturating_mul(n) } else { 0 };
-            for_each_range(c, MR * n, macs, |strip0, rows| {
-                let (row0, nrows) = (strip0 * MR, rows.len() / n);
-                with_scratch(&A_SCRATCH, MC.min(nrows).div_ceil(MR) * kc * MR, |apack| {
-                    for i0 in (0..nrows).step_by(MC) {
-                        let mc = MC.min(nrows - i0);
-                        let ap = &mut apack[..mc.div_ceil(MR) * kc * MR];
-                        pack_a(ap, a, pc, kc, row0 + i0, mc);
-                        block_rows(&mut rows[i0 * n..(i0 + mc) * n], n, kc, mc, ap, bpanel);
-                    }
-                });
+            for_each_range(c, MR * n, macs, |strip0, strip| {
+                block_rows(strip, n, kc, strip.len() / n, &apanels[strip0 * kc * MR..], bpanel);
             });
             pc += kc;
         }
@@ -314,21 +359,21 @@ fn view_nt_b(b: &[f32], k: usize, n: usize) -> View<'_> {
 /// `C[m×n] = A[m×k] · B[k×n]`, blocked and (for large products) row-parallel.
 pub fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
-    gemm_blocked_views(&mut c, m, k, n, view_nn_a(a, m, k), view_nn_b(b, k, n), true);
+    with_packed_a(a, m, k, false, |a| gemm_packed(&mut c, a, view_nn_b(b, k, n), n, true));
     c
 }
 
 /// `C[m×n] = A[m×k] · Bᵀ` where `b` is stored row-major as `[n, k]`.
 pub fn gemm_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
-    gemm_blocked_views(&mut c, m, k, n, view_nn_a(a, m, k), view_nt_b(b, k, n), true);
+    with_packed_a(a, m, k, false, |a| gemm_packed(&mut c, a, view_nt_b(b, k, n), n, true));
     c
 }
 
 /// `C[m×n] = Aᵀ · B[k×n]` where `a` is stored row-major as `[k, m]`.
 pub fn gemm_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
-    gemm_blocked_views(&mut c, m, k, n, view_tn_a(a, m, k), view_nn_b(b, k, n), true);
+    with_packed_a(a, m, k, true, |a| gemm_packed(&mut c, a, view_nn_b(b, k, n), n, true));
     c
 }
 
@@ -341,19 +386,27 @@ pub fn gemm_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
 /// and the shared column gradient of multi-branch convolutions).
 pub fn gemm_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert!(c.len() >= m * n, "gemm_into: output buffer too small");
-    gemm_blocked_views(c, m, k, n, view_nn_a(a, m, k), view_nn_b(b, k, n), false);
+    with_packed_a(a, m, k, false, |a| gemm_packed(c, a, view_nn_b(b, k, n), n, false));
 }
 
 /// Accumulate `A[m×k] · Bᵀ` (with `b` stored `[n, k]`) into `c[m×n]` in place.
 pub fn gemm_nt_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert!(c.len() >= m * n, "gemm_nt_into: output buffer too small");
-    gemm_blocked_views(c, m, k, n, view_nn_a(a, m, k), view_nt_b(b, k, n), false);
+    with_packed_a(a, m, k, false, |a| gemm_packed(c, a, view_nt_b(b, k, n), n, false));
 }
 
 /// Accumulate `Aᵀ · B[k×n]` (with `a` stored `[k, m]`) into `c[m×n]` in place.
 pub fn gemm_tn_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert!(c.len() >= m * n, "gemm_tn_into: output buffer too small");
-    gemm_blocked_views(c, m, k, n, view_tn_a(a, m, k), view_nn_b(b, k, n), false);
+    with_packed_a(a, m, k, true, |a| gemm_packed(c, a, view_nn_b(b, k, n), n, false));
+}
+
+/// Accumulate `a · B[k×n]` into `c[m×n]` in place, `(m, k)` being the packed
+/// operand's: the [`gemm_into`] / [`gemm_tn_into`] product without the
+/// packing, for a caller that multiplies one `A` by many `B`s. Never forks.
+pub(crate) fn gemm_packed_into(c: &mut [f32], a: &PackedA, b: &[f32], n: usize) {
+    assert!(c.len() >= a.m * n, "gemm_packed_into: output buffer too small");
+    gemm_packed(c, a, view_nn_b(b, a.k, n), n, false);
 }
 
 /// `C = A · B` through the blocked path regardless of size, single-threaded —
@@ -361,23 +414,7 @@ pub fn gemm_tn_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: 
 /// would otherwise be conflated with the blocking win on multicore hosts).
 pub fn gemm_blocked(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
-    gemm_blocked_views(&mut c, m, k, n, view_nn_a(a, m, k), view_nn_b(b, k, n), false);
-    c
-}
-
-/// `C = A · Bᵀ` through the blocked path regardless of size, single-threaded
-/// (bench / test hook, see [`gemm_blocked`]).
-pub fn gemm_nt_blocked(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    gemm_blocked_views(&mut c, m, k, n, view_nn_a(a, m, k), view_nt_b(b, k, n), false);
-    c
-}
-
-/// `C = Aᵀ · B` through the blocked path regardless of size, single-threaded
-/// (bench / test hook, see [`gemm_blocked`]).
-pub fn gemm_tn_blocked(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    gemm_blocked_views(&mut c, m, k, n, view_tn_a(a, m, k), view_nn_b(b, k, n), false);
+    gemm_into(&mut c, a, b, m, k, n);
     c
 }
 
@@ -422,6 +459,13 @@ mod tests {
         out
     }
 
+    /// A `*_into` product on a zeroed `m×n` buffer: the plain product.
+    fn zeroed(m: usize, n: usize, into: impl FnOnce(&mut [f32])) -> Vec<f32> {
+        let mut c = vec![0.0f32; m * n];
+        into(&mut c);
+        c
+    }
+
     fn assert_close(a: &[f32], b: &[f32], tol: f32) {
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
@@ -431,7 +475,7 @@ mod tests {
 
     #[test]
     fn blocked_matches_naive_across_shapes() {
-        // Edge sizes around the MR/NR/MC/KC boundaries, incl. 0 and 1.
+        // Edge sizes around the MR/NR/KC boundaries, incl. 0 and 1.
         for &(m, k, n) in &[
             (0, 3, 4),
             (3, 0, 4),
@@ -443,7 +487,7 @@ mod tests {
             (33, 70, 41),
             (65, 300, 23),
             (70, 64, 72),
-            (300, 257, 130), // > 2 MC row blocks, > 1 KC k-panel, odd edges
+            (300, 257, 130), // > 1 KC k-panel, odd edges
         ] {
             let a = randvec(m * k, 1 + (m * 1000 + k * 10 + n) as u64);
             let b = randvec(k * n, 2 + (m * 1000 + k * 10 + n) as u64);
@@ -460,13 +504,15 @@ mod tests {
             let bt = randvec(n * k, 8); // stored [n, k]
             let b = transpose(&bt, n, k); // [k, n]
             assert_close(&gemm_nt(&a, &bt, m, k, n), &gemm_naive(&a, &b, m, k, n), 1e-3);
-            assert_close(&gemm_nt_blocked(&a, &bt, m, k, n), &gemm_naive(&a, &b, m, k, n), 1e-3);
+            let nt_into = zeroed(m, n, |c| gemm_nt_into(c, &a, &bt, m, k, n));
+            assert_close(&nt_into, &gemm_naive(&a, &b, m, k, n), 1e-3);
 
             let at = randvec(k * m, 9); // stored [k, m]
             let a2 = transpose(&at, k, m); // [m, k]
             let b2 = randvec(k * n, 10);
             assert_close(&gemm_tn(&at, &b2, m, k, n), &gemm_naive(&a2, &b2, m, k, n), 1e-3);
-            assert_close(&gemm_tn_blocked(&at, &b2, m, k, n), &gemm_naive(&a2, &b2, m, k, n), 1e-3);
+            let tn_into = zeroed(m, n, |c| gemm_tn_into(c, &at, &b2, m, k, n));
+            assert_close(&tn_into, &gemm_naive(&a2, &b2, m, k, n), 1e-3);
         }
     }
 
@@ -483,7 +529,7 @@ mod tests {
     }
 
     /// The benchmark's probe shapes (the models' per-sample products) and the
-    /// `MR`/`NR`/`MC`/`KC` edge shapes of `blocked_matches_naive_across_shapes`.
+    /// `MR`/`NR`/`KC` edge shapes of `blocked_matches_naive_across_shapes`.
     const CONTRACT_SHAPES: [(usize, usize, usize); 19] = [
         (16, 27, 1024),
         (32, 144, 256),
@@ -544,10 +590,34 @@ mod tests {
             let want = fma_reference(&a, &b, m, k, n);
             let shape = format!("({m},{k},{n})");
             assert_bitwise(&gemm_blocked(&a, &b, m, k, n), &want, &format!("in-place B {shape}"));
-            assert_bitwise(&gemm_nt_blocked(&a, &bt, m, k, n), &want, &format!("packed B {shape}"));
-            assert_bitwise(&gemm_tn_blocked(&at, &b, m, k, n), &want, &format!("transposed A {shape}"));
+            let packed_b = zeroed(m, n, |c| gemm_nt_into(c, &a, &bt, m, k, n));
+            assert_bitwise(&packed_b, &want, &format!("packed B {shape}"));
+            let transposed_a = zeroed(m, n, |c| gemm_tn_into(c, &at, &b, m, k, n));
+            assert_bitwise(&transposed_a, &want, &format!("transposed A {shape}"));
             for (got, what) in [(gemm(&a, &b, m, k, n), "gemm"), (gemm_nt(&a, &bt, m, k, n), "gemm_nt")] {
                 assert_bitwise(&got, &want, &format!("{what} {shape}"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_packed_once_serves_every_product_bitwise() {
+        // One packed `A`, plain and transposed, multiplied by three different
+        // `B`s in turn: a stale or shifted panel would break the second or
+        // third product even when the first one is right. The two operands
+        // are repacked from shape to shape, as a thread's scratch is.
+        let mut packed = [PackedA::default(), PackedA::default()];
+        for (m, k, n) in CONTRACT_SHAPES {
+            let seed = (m * 1000 + k * 10 + n) as u64;
+            let a = randvec(m * k, 5 + seed);
+            packed[0].pack(&a, m, k, false);
+            packed[1].pack(&transpose(&a, m, k), m, k, true);
+            for (round, b) in (0..3).map(|r| (r, randvec(k * n, 6 + seed + r))) {
+                let want = fma_reference(&a, &b, m, k, n);
+                for (pa, what) in packed.iter().zip(["plain A", "transposed A"]) {
+                    let got = zeroed(m, n, |c| gemm_packed_into(c, pa, &b, n));
+                    assert_bitwise(&got, &want, &format!("{what} ({m},{k},{n}) product {round}"));
+                }
             }
         }
     }
@@ -585,7 +655,7 @@ mod tests {
         b[2 * n + 3] = f32::INFINITY;
         b[n + 17] = f32::NAN;
         let bt = transpose(&b, k, n);
-        for c in [gemm_blocked(&a, &b, m, k, n), gemm_nt_blocked(&a, &bt, m, k, n)] {
+        for c in [gemm_blocked(&a, &b, m, k, n), zeroed(m, n, |c| gemm_nt_into(c, &a, &bt, m, k, n))] {
             for i in 0..m {
                 for j in 0..n {
                     let v = c[i * n + j];

@@ -5,9 +5,7 @@
 //! the in-place and packed `B` layouts on every pool size.
 
 use proptest::prelude::*;
-use quadra_tensor::gemm::{
-    gemm, gemm_blocked, gemm_naive, gemm_nt, gemm_nt_blocked, gemm_tn, gemm_tn_blocked,
-};
+use quadra_tensor::gemm::{gemm, gemm_blocked, gemm_naive, gemm_nt, gemm_nt_into, gemm_tn, gemm_tn_into};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -28,6 +26,13 @@ fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     out
 }
 
+/// A `*_into` product on a zeroed `m×n` buffer: the plain product.
+fn zeroed(m: usize, n: usize, into: impl FnOnce(&mut [f32])) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    into(&mut c);
+    c
+}
+
 fn assert_close(fast: &[f32], slow: &[f32], tol: f32) {
     assert_eq!(fast.len(), slow.len());
     for (i, (x, y)) in fast.iter().zip(slow.iter()).enumerate() {
@@ -36,8 +41,7 @@ fn assert_close(fast: &[f32], slow: &[f32], tol: f32) {
 }
 
 /// Dimension strategy biased toward tile boundaries: 0, 1, multiples of 8 and
-/// their neighbours, sizes past one MC = 128 row block (129, 300) so the
-/// multi-block loops run with more than one block, and 300 also exceeds one
+/// their neighbours, and sizes past 128 (129, 300); 300 also exceeds one
 /// KC = 256 k-panel when drawn for `k`.
 fn dim() -> impl Strategy<Value = usize> {
     proptest::sample::select(vec![0usize, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 24, 31, 33, 40, 65, 70, 129, 300])
@@ -59,7 +63,7 @@ proptest! {
         assert_close(&gemm(&a, &b, m, k, n), &slow, tol);
     }
 
-    /// `gemm_nt` ≡ transpose B then gemm, for both dispatch and blocked paths.
+    /// `gemm_nt` ≡ transpose B then gemm, for both the returning and the accumulating entry point.
     #[test]
     fn nt_matches_transpose_then_gemm((m, k, n) in (dim(), dim(), dim()), seed in 0u64..1_000_000) {
         let a = randvec(m * k, seed.wrapping_add(1));
@@ -68,10 +72,10 @@ proptest! {
         let slow = gemm_naive(&a, &b, m, k, n);
         let tol = 1e-4 * (k.max(1) as f32);
         assert_close(&gemm_nt(&a, &bt, m, k, n), &slow, tol);
-        assert_close(&gemm_nt_blocked(&a, &bt, m, k, n), &slow, tol);
+        assert_close(&zeroed(m, n, |c| gemm_nt_into(c, &a, &bt, m, k, n)), &slow, tol);
     }
 
-    /// `gemm_tn` ≡ transpose A then gemm, for both dispatch and blocked paths.
+    /// `gemm_tn` ≡ transpose A then gemm, for both the returning and the accumulating entry point.
     #[test]
     fn tn_matches_transpose_then_gemm((m, k, n) in (dim(), dim(), dim()), seed in 0u64..1_000_000) {
         let at = randvec(k * m, seed.wrapping_add(3)); // stored [k, m]
@@ -80,7 +84,7 @@ proptest! {
         let slow = gemm_naive(&a, &b, m, k, n);
         let tol = 1e-4 * (k.max(1) as f32);
         assert_close(&gemm_tn(&at, &b, m, k, n), &slow, tol);
-        assert_close(&gemm_tn_blocked(&at, &b, m, k, n), &slow, tol);
+        assert_close(&zeroed(m, n, |c| gemm_tn_into(c, &at, &b, m, k, n)), &slow, tol);
     }
 }
 
@@ -110,8 +114,8 @@ proptest! {
     }
 }
 
-/// Deterministic MR/NR/MC/KC edge coverage through every pool size: shapes
-/// straddle the 8×16 micro-tile, the MC = 128 row block, and the KC = 256
+/// Deterministic MR/NR/KC edge coverage through every pool size: shapes
+/// straddle the 8×16 micro-tile, 128 rows, and the KC = 256
 /// k-panel, and the larger ones clear the crate's fork constant (4 M
 /// multiply-adds per k-panel) so their row ranges really run as stealable
 /// pool tasks.
@@ -119,8 +123,8 @@ proptest! {
 fn parallel_gemm_tile_edges_across_thread_counts() {
     let shapes = [
         (7usize, 9usize, 8usize), // under one MR×NR tile, stays inline
-        (129, 256, 128),          // one row past MC, exactly one KC panel
-        (136, 257, 128),          // MC-multiple rows, one past KC (second panel inline)
+        (129, 256, 128),          // one row past a whole MR strip, exactly one KC panel
+        (136, 257, 128),          // whole MR strips, one past KC (second panel inline)
         (300, 70, 201),           // several row ranges, ragged NR edge
         (256, 300, 70),           // k spans two KC panels, ragged NR edge
     ];
