@@ -48,38 +48,35 @@ pub fn layer_performance_indicator(param_share: f32, flop_share: f32, delta_acc:
     param_share * flop_share / delta_acc.max(1e-6)
 }
 
-/// Number of weight branches a quadratic neuron type instantiates in a layer.
-fn branch_factor(neuron: NeuronType) -> usize {
-    match neuron {
-        NeuronType::T2 | NeuronType::T3 => 1,
-        NeuronType::T4 | NeuronType::T4Identity => 2,
-        NeuronType::T2And4 | NeuronType::Ours => 3,
-        // Not constructible as conv layers, but give the bilinear count for completeness.
-        NeuronType::T1 | NeuronType::T1And2 => 1,
-    }
-}
-
 fn spec_cost(spec: &LayerSpec, geom: Geometry) -> SpecCost {
     // `has_bias` mirrors the construction function: a first-order Conv2d gets a
     // bias only when it is not followed by batch-norm, while a quadratic
-    // convolution always carries its own bias parameter.
+    // convolution always carries its own bias parameter. A first-order layer
+    // holds one weight branch; a quadratic one what its neuron form asks for.
+    let weights = |neuron: Option<&NeuronType>, per_branch: usize, fan_in: usize| {
+        neuron.map_or(per_branch, |t| t.form().weights(per_branch, fan_in))
+    };
     let conv_cost = |out_c: usize,
                      k: usize,
                      stride: usize,
                      padding: usize,
                      groups: usize,
-                     branches: usize,
+                     neuron: Option<&NeuronType>,
                      bn: bool,
                      has_bias: bool| {
         let out_hw = (geom.spatial + 2 * padding).saturating_sub(k) / stride + 1;
-        let weight = out_c * (geom.channels / groups.max(1)) * k * k;
-        let params = branches * weight + if has_bias { out_c } else { 0 } + if bn { 2 * out_c } else { 0 };
-        let flops = branches * weight * out_hw * out_hw;
-        SpecCost { params, flops }
+        let fan_in = (geom.channels / groups.max(1)) * k * k;
+        let weight = weights(neuron, out_c * fan_in, fan_in);
+        let params = weight + if has_bias { out_c } else { 0 } + if bn { 2 * out_c } else { 0 };
+        SpecCost { params, flops: weight * out_hw * out_hw }
+    };
+    let dense_cost = |out_features: usize, neuron: Option<&NeuronType>| {
+        let weight = weights(neuron, geom.features() * out_features, geom.features());
+        SpecCost { params: weight + out_features, flops: weight }
     };
     match spec {
         LayerSpec::Conv { out_channels, kernel, stride, padding, groups, batch_norm, .. } => {
-            conv_cost(*out_channels, *kernel, *stride, *padding, *groups, 1, *batch_norm, !*batch_norm)
+            conv_cost(*out_channels, *kernel, *stride, *padding, *groups, None, *batch_norm, !*batch_norm)
         }
         LayerSpec::QuadraticConv {
             neuron,
@@ -90,24 +87,9 @@ fn spec_cost(spec: &LayerSpec, geom: Geometry) -> SpecCost {
             groups,
             batch_norm,
             ..
-        } => conv_cost(
-            *out_channels,
-            *kernel,
-            *stride,
-            *padding,
-            *groups,
-            branch_factor(*neuron),
-            *batch_norm,
-            true,
-        ),
-        LayerSpec::Linear { out_features, .. } => SpecCost {
-            params: geom.features() * out_features + out_features,
-            flops: geom.features() * out_features,
-        },
-        LayerSpec::QuadraticLinear { neuron, out_features } => {
-            let w = geom.features() * out_features;
-            SpecCost { params: branch_factor(*neuron) * w + out_features, flops: branch_factor(*neuron) * w }
-        }
+        } => conv_cost(*out_channels, *kernel, *stride, *padding, *groups, Some(neuron), *batch_norm, true),
+        LayerSpec::Linear { out_features, .. } => dense_cost(*out_features, None),
+        LayerSpec::QuadraticLinear { neuron, out_features } => dense_cost(*out_features, Some(neuron)),
         LayerSpec::Residual { body, projection, .. } => {
             let mut g = geom;
             let mut total = SpecCost { params: 0, flops: 0 };
@@ -157,7 +139,7 @@ pub struct AutoBuilder {
 
 impl AutoBuilder {
     /// Create an auto-builder that converts models to the given neuron type
-    /// (the paper's QuadraNN uses [`NeuronType::Ours`]).
+    /// (the paper's QuadraNN uses its proposed neuron, "Ours").
     pub fn new(neuron: NeuronType) -> Self {
         AutoBuilder { neuron }
     }
@@ -310,13 +292,46 @@ fn conv_count_of(spec: &LayerSpec) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::build_model;
     use quadra_nn::Layer;
     use quadra_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A one-layer config, with no BN or ReLU, for every neuron type as a
+    /// quadratic dense layer and, for the six a convolution can hold, as a
+    /// quadratic convolution. Dense configs take `[batch, 6]` inputs.
+    pub(crate) fn single_layer_configs() -> Vec<ModelConfig> {
+        let mut configs = Vec::new();
+        for neuron in NeuronType::ALL {
+            let dense = vec![LayerSpec::QuadraticLinear { neuron, out_features: 6 }];
+            configs.push(ModelConfig::new(format!("dense {neuron}"), 6, 0, 6, dense));
+            if matches!(neuron, NeuronType::T1 | NeuronType::T1And2) {
+                continue;
+            }
+            let conv = LayerSpec::QuadraticConv {
+                neuron,
+                out_channels: 3,
+                kernel: 3,
+                stride: 1,
+                padding: 1,
+                groups: 1,
+                batch_norm: false,
+                relu: false,
+            };
+            configs.push(ModelConfig::new(format!("conv {neuron}"), 3, 5, 3, vec![conv]));
+        }
+        configs
+    }
+
+    /// A random batch of `batch` inputs for `config`.
+    pub(crate) fn input_batch(config: &ModelConfig, batch: usize, rng: &mut StdRng) -> Tensor {
+        let (c, s) = (config.input_channels, config.image_size);
+        let shape = if s == 0 { vec![batch, c] } else { vec![batch, c, s, s] };
+        Tensor::randn(&shape, 0.0, 1.0, rng)
+    }
 
     fn vgg_like() -> ModelConfig {
         ModelConfig::new(
@@ -381,6 +396,24 @@ mod tests {
         let q = AutoBuilder::new(NeuronType::Ours).convert(&cfg);
         let qmodel = build_model(&q, &mut rng);
         assert_eq!(qmodel.param_count(), estimate_param_count(&q));
+        for cfg in single_layer_configs() {
+            let model = build_model(&cfg, &mut rng);
+            assert_eq!(model.param_count(), estimate_param_count(&cfg), "{}", cfg.name);
+        }
+    }
+
+    #[test]
+    fn layer_flops_are_batch_times_estimated_flops() {
+        // One convention for both layers and the estimate: the multiply-adds
+        // of every weight branch, plus the bilinear term.
+        let mut rng = StdRng::seed_from_u64(5);
+        for cfg in single_layer_configs() {
+            for batch in [1, 3] {
+                let mut model = build_model(&cfg, &mut rng);
+                let _ = model.forward(&input_batch(&cfg, batch, &mut rng), true);
+                assert_eq!(model.flops_last_forward(), batch * estimate_flops(&cfg), "{}", cfg.name);
+            }
+        }
     }
 
     #[test]

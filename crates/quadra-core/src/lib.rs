@@ -16,7 +16,10 @@
 //!   type, model-structure configuration files ([`ModelConfig`]) with a
 //!   construction function ([`build_model`]), and the QDNN [`AutoBuilder`]
 //!   that converts any first-order model into a QuadraNN via layer replacement
-//!   and RI-heuristic layer reduction (Eq. 5).
+//!   and RI-heuristic layer reduction (Eq. 5). Each neuron type is one row of
+//!   a neuron-form table (which weights act on `x` and on `x²`, and how the
+//!   branches combine) that both layers, the cost estimates
+//!   ([`estimate_costs`]) and the [`MemoryProfiler`]'s analytic estimate read.
 //! * **Training / inference level** — the [`MemoryProfiler`], the
 //!   [`BackpropMode`] switch implementing hybrid (AD + symbolic)
 //!   back-propagation, and the [`QuadraticOptimizer`] that couples the two.
@@ -63,7 +66,7 @@ pub use builder::{
 };
 pub use config::{advance_geometry, build_model, walk_geometry, Geometry, LayerSpec, ModelConfig};
 pub use hybrid_bp::BackpropMode;
-pub use neuron::{DenseQuadraticNeuron, NeuronType};
+pub use neuron::NeuronType;
 pub use optimizer::{MemoryDecision, QuadraticOptimizer};
 pub use profiler::{MemoryProfiler, MemoryReport, MemoryTimeline, ModelMemoryReport, TimelinePoint};
 pub use qconv::QuadraticConv2d;

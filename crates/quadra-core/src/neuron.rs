@@ -1,4 +1,5 @@
-//! The quadratic-neuron taxonomy of the paper (Table 1).
+//! The quadratic-neuron taxonomy of the paper (Table 1), and the one table
+//! that says how each design is built.
 //!
 //! Every QDNN design published before QuadraLib introduces the second-order
 //! term of the input `X` in one of a few ways; the paper groups them into four
@@ -15,13 +16,28 @@
 //! | T4+Id| `(Wa·X) ∘ (Wb·X) + X`          | O(3n)        | O(2n)      |
 //! | Ours | `(Wa·X) ∘ (Wb·X) + Wc·X`       | O(4n)        | O(3n)      |
 //!
-//! [`NeuronType`] carries these closed-form complexity counts; the
-//! [`DenseQuadraticNeuron`] struct instantiates a single scalar-output neuron
-//! of any type so that unit and property tests can verify both the arithmetic
-//! and the complexity formulas against real parameter tensors.
+//! [`NeuronType`] names a design. A private table, `NeuronType::form`,
+//! describes each one as data (a `NeuronForm`): which weight slots `Wa`, `Wb`,
+//! `Wc` are applied to `x` and which to `x²`, whether the second-order term is
+//! `za²` or `za∘zb`, whether the first-order term is an `x`-branch, the
+//! `x²`-branch or the identity, and whether a full-rank bilinear `xᵀWx` term is
+//! present. It is the only map from a type to its branches; its readers are:
+//!
+//! * the closed-form counts [`NeuronType::param_count`] and
+//!   [`NeuronType::flop_count`];
+//! * both quadratic layers, through `Branches`: parameter creation, the
+//!   forward, the caching of `za`/`zb`, hybrid-BP recompute and the gradient
+//!   routing are written once over the table, and a layer supplies only its
+//!   `Products` (convolutions for [`QuadraticConv2d`](crate::QuadraticConv2d),
+//!   matrix products and the bilinear kernel for
+//!   [`QuadraticLinear`](crate::QuadraticLinear));
+//! * the cost estimates of [`estimate_costs`](crate::estimate_costs) and the
+//!   activation estimate of
+//!   [`MemoryProfiler::estimate_from_config`](crate::MemoryProfiler::estimate_from_config).
 
+use crate::hybrid_bp::BackpropMode;
+use quadra_nn::Param;
 use quadra_tensor::Tensor;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// The quadratic neuron design taxonomy of Table 1 in the paper.
@@ -105,30 +121,43 @@ impl NeuronType {
     /// Number of trainable parameters of a single neuron with input size `n`
     /// (bias ignored, as in Table 1's "Model Structure" column).
     pub fn param_count(&self, n: usize) -> usize {
-        match self {
-            NeuronType::T1 => n * n + n,
-            NeuronType::T2 => n,
-            NeuronType::T3 => n,
-            NeuronType::T4 => 2 * n,
-            NeuronType::T1And2 => n * n + n,
-            NeuronType::T2And4 => 3 * n,
-            NeuronType::T4Identity => 2 * n,
-            NeuronType::Ours => 3 * n,
-        }
+        self.form().weights(n, n)
     }
 
     /// Multiply–accumulate count of a single neuron evaluation with input size
-    /// `n` (Table 1's "Computation Complexity" column).
+    /// `n` (Table 1's "Computation Complexity" column): its weights, plus one
+    /// pass over `n` values for squaring the input and one for the
+    /// second-order product.
     pub fn flop_count(&self, n: usize) -> usize {
+        let form = self.form();
+        let passes = usize::from(form.on_square.is_some()) + usize::from(form.second != SecondOrder::None);
+        form.weights(n, n) + passes * n
+    }
+
+    /// How the design is built: the neuron-form table.
+    #[rustfmt::skip]
+    pub(crate) fn form(self) -> &'static NeuronForm {
+        use FirstOrder::{Identity, SquaredInput, XBranch};
+        use SecondOrder::{Product, Square};
+        const fn row(
+            bilinear: bool,
+            on_x: &'static [usize],
+            on_square: Option<usize>,
+            second: SecondOrder,
+            first: FirstOrder,
+        ) -> NeuronForm {
+            NeuronForm { bilinear, on_x, on_square, second, first }
+        }
         match self {
-            NeuronType::T1 => n * n + n,
-            NeuronType::T2 => 2 * n,
-            NeuronType::T3 => 2 * n,
-            NeuronType::T4 => 3 * n,
-            NeuronType::T1And2 => n * n + 2 * n,
-            NeuronType::T2And4 => 5 * n,
-            NeuronType::T4Identity => 3 * n,
-            NeuronType::Ours => 4 * n,
+            //                                    bilinear on x        on x²    second-order       first-order
+            NeuronType::T1 =>         &const { row(true,  &[A],       None,    SecondOrder::None, XBranch) },
+            NeuronType::T2 =>         &const { row(false, &[],        Some(A), SecondOrder::None, SquaredInput) },
+            NeuronType::T3 =>         &const { row(false, &[A],       None,    Square,            FirstOrder::None) },
+            NeuronType::T4 =>         &const { row(false, &[A, B],    None,    Product,           FirstOrder::None) },
+            NeuronType::T1And2 =>     &const { row(true,  &[],        Some(B), SecondOrder::None, SquaredInput) },
+            NeuronType::T2And4 =>     &const { row(false, &[A, B],    Some(C), Product,           SquaredInput) },
+            NeuronType::T4Identity => &const { row(false, &[A, B],    None,    Product,           Identity) },
+            NeuronType::Ours =>       &const { row(false, &[A, B, C], None,    Product,           XBranch) },
         }
     }
 
@@ -142,7 +171,7 @@ impl NeuronType {
     /// True for designs whose per-neuron cost grows quadratically in the input
     /// size — the computation-complexity problem **P2**.
     pub fn has_complexity_issue(&self) -> bool {
-        matches!(self, NeuronType::T1 | NeuronType::T1And2)
+        self.form().bilinear
     }
 
     /// True for designs with no first-order (or identity) escape path in the
@@ -155,7 +184,7 @@ impl NeuronType {
     /// True if the neuron can be assembled purely from first-order building
     /// blocks already offered by DNN libraries (problem **P4** otherwise).
     pub fn is_library_friendly(&self) -> bool {
-        !matches!(self, NeuronType::T1 | NeuronType::T1And2)
+        !self.form().bilinear
     }
 }
 
@@ -165,108 +194,332 @@ impl std::fmt::Display for NeuronType {
     }
 }
 
-/// A single scalar-output quadratic neuron over a length-`n` input vector.
-///
-/// This is the object the paper's Table 1 reasons about; the layer
-/// implementations in [`QuadraticLinear`](crate::QuadraticLinear) and
-/// [`QuadraticConv2d`](crate::QuadraticConv2d) generalise it to whole layers.
-/// It is used by tests and by the Table 1 benchmark harness to validate the
-/// closed-form complexity counts against concrete tensors.
-#[derive(Debug, Clone)]
-pub struct DenseQuadraticNeuron {
-    neuron_type: NeuronType,
-    /// Full-rank matrix for T1-style designs (`[n, n]`), otherwise unused.
-    w_full: Option<Tensor>,
-    /// First weight vector (`[n]`).
-    wa: Option<Tensor>,
-    /// Second weight vector (`[n]`).
-    wb: Option<Tensor>,
-    /// Third weight vector (`[n]`).
-    wc: Option<Tensor>,
-    bias: f32,
+// The weight slots `Wa`, `Wb`, `Wc`, and the parameter name of each.
+const A: usize = 0;
+const B: usize = 1;
+const C: usize = 2;
+const SLOT_NAMES: [&str; 3] = ["wa", "wb", "wc"];
+
+/// The second-order term, formed from the first `x`-branches `za`, `zb`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SecondOrder {
+    /// No product of branches.
+    None,
+    /// `za²`.
+    Square,
+    /// `za ∘ zb`.
+    Product,
 }
 
-impl DenseQuadraticNeuron {
-    /// Create a neuron of the given type for input size `n` with random weights.
-    pub fn new(neuron_type: NeuronType, n: usize, rng: &mut impl Rng) -> Self {
-        fn vec<R: Rng>(n: usize, rng: &mut R) -> Tensor {
-            Tensor::randn(&[n], 0.0, (1.0 / n as f32).sqrt(), rng)
+impl SecondOrder {
+    /// The `x`-branches the term reads: the ones default BP caches for
+    /// backward and hybrid BP recomputes.
+    pub(crate) fn arity(self) -> usize {
+        match self {
+            SecondOrder::None => 0,
+            SecondOrder::Square => 1,
+            SecondOrder::Product => 2,
         }
-        fn mat<R: Rng>(n: usize, rng: &mut R) -> Tensor {
-            Tensor::randn(&[n, n], 0.0, 1.0 / n as f32, rng)
-        }
-        let (w_full, wa, wb, wc) = match neuron_type {
-            NeuronType::T1 => (Some(mat(n, rng)), Some(vec(n, rng)), None, None),
-            NeuronType::T2 | NeuronType::T3 => (None, Some(vec(n, rng)), None, None),
-            NeuronType::T4 | NeuronType::T4Identity => (None, Some(vec(n, rng)), Some(vec(n, rng)), None),
-            NeuronType::T1And2 => (Some(mat(n, rng)), None, Some(vec(n, rng)), None),
-            NeuronType::T2And4 | NeuronType::Ours => {
-                (None, Some(vec(n, rng)), Some(vec(n, rng)), Some(vec(n, rng)))
-            }
-        };
-        DenseQuadraticNeuron { neuron_type, w_full, wa, wb, wc, bias: 0.0 }
+    }
+}
+
+/// The first-order term added to the second-order one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FirstOrder {
+    /// Nothing is added.
+    None,
+    /// The `x`-branch after the ones the second-order term reads.
+    XBranch,
+    /// The `x²`-branch.
+    SquaredInput,
+    /// `x` itself (input and output shapes must agree).
+    Identity,
+}
+
+/// One row of the neuron-form table: how a design is built.
+#[derive(Debug)]
+pub(crate) struct NeuronForm {
+    /// A full-rank bilinear term `xᵀ·W·x` (dense layers only).
+    pub(crate) bilinear: bool,
+    /// The weight slots applied to `x`, in order.
+    pub(crate) on_x: &'static [usize],
+    /// The weight slot applied to `x²`.
+    pub(crate) on_square: Option<usize>,
+    pub(crate) second: SecondOrder,
+    pub(crate) first: FirstOrder,
+}
+
+impl NeuronForm {
+    /// Weight slots the form instantiates.
+    fn slots(&self) -> usize {
+        self.on_x.len() + usize::from(self.on_square.is_some())
     }
 
-    /// The neuron's design type.
-    pub fn neuron_type(&self) -> NeuronType {
+    /// Weight scalars of a layer of this form whose slots hold `per_branch`
+    /// each over a fan-in of `fan_in` (a bilinear weight holds `fan_in` times
+    /// a slot's). The same sum counts the layer's multiply-adds per output
+    /// position.
+    pub(crate) fn weights(&self, per_branch: usize, fan_in: usize) -> usize {
+        (self.slots() + if self.bilinear { fan_in } else { 0 }) * per_branch
+    }
+}
+
+/// The products a quadratic layer computes its branches with. Which branches
+/// exist and how they combine is [`Branches`]' business.
+pub(crate) trait Products {
+    /// `x ⊛ W` for each of `weights`, in order.
+    fn forward(&self, x: &Tensor, weights: &[&Tensor]) -> Vec<Tensor>;
+
+    /// For the products `x ⊛ weights[i]` receiving the gradients `grads[i]`:
+    /// the input gradient, summed over the products, and each weight's.
+    fn backward(&self, grads: &[&Tensor], weights: &[&Tensor], x: &Tensor) -> (Tensor, Vec<Tensor>);
+
+    /// The bias gradient.
+    fn bias_grad(&self, grad_out: &Tensor) -> Tensor;
+
+    /// The bilinear term `y[n, j] = x[n]ᵀ·W[j]·x[n]`.
+    fn bilinear(&self, _x: &Tensor, _w: &Tensor) -> Tensor {
+        unreachable!("the layer has no bilinear form")
+    }
+
+    /// The input and weight gradients of [`Products::bilinear`].
+    fn bilinear_backward(&self, _x: &Tensor, _grad_out: &Tensor, _w: &Tensor) -> (Tensor, Tensor) {
+        unreachable!("the layer has no bilinear form")
+    }
+}
+
+/// Add `t` to an optional running sum.
+pub(crate) fn accumulate(sum: &mut Option<Tensor>, t: Tensor) {
+    match sum {
+        Some(sum) => sum.add_assign(&t).expect("shape"),
+        None => *sum = Some(t),
+    }
+}
+
+fn slot(w: &[Option<Param>; 3], s: usize) -> &Param {
+    w[s].as_ref().expect("the form instantiates its slots")
+}
+
+fn slot_mut(w: &mut [Option<Param>; 3], s: usize) -> &mut Param {
+    w[s].as_mut().expect("the form instantiates its slots")
+}
+
+/// The values of the weights applied to `x`, in order.
+fn on_x_values<'a>(w: &'a [Option<Param>; 3], form: &NeuronForm) -> Vec<&'a Tensor> {
+    form.on_x.iter().map(|&s| &slot(w, s).value).collect()
+}
+
+/// The weights, caches and arithmetic of a quadratic layer, laid out by its
+/// neuron form. A layer wraps one and supplies its [`Products`].
+pub(crate) struct Branches {
+    neuron_type: NeuronType,
+    mode: BackpropMode,
+    /// The bilinear weight, `[out, in, in]`.
+    w_full: Option<Param>,
+    /// The `Wa`, `Wb`, `Wc` slots the form uses.
+    w: [Option<Param>; 3],
+    /// One bias per output channel.
+    bias: Param,
+    cached_x: Option<Tensor>,
+    cached_za: Option<Tensor>,
+    cached_zb: Option<Tensor>,
+    flops: usize,
+}
+
+impl Branches {
+    /// The parameters of `neuron_type`, named `{prefix}.w_full`,
+    /// `{prefix}.wa` … and `{prefix}.bias`, with `outputs` biases. `init`
+    /// draws each weight in parameter order; its argument says whether the
+    /// weight is the bilinear one.
+    pub(crate) fn new(
+        neuron_type: NeuronType,
+        prefix: &str,
+        outputs: usize,
+        mut init: impl FnMut(bool) -> Tensor,
+    ) -> Self {
+        let form = neuron_type.form();
+        let w_full = form.bilinear.then(|| Param::new(format!("{prefix}.w_full"), init(true)));
+        let w = std::array::from_fn(|s| {
+            let used = form.on_x.contains(&s) || form.on_square == Some(s);
+            used.then(|| Param::new(format!("{prefix}.{}", SLOT_NAMES[s]), init(false)))
+        });
+        Branches {
+            neuron_type,
+            mode: BackpropMode::Default,
+            w_full,
+            w,
+            bias: Param::new_no_decay(format!("{prefix}.bias"), Tensor::zeros(&[outputs])),
+            cached_x: None,
+            cached_za: None,
+            cached_zb: None,
+            flops: 0,
+        }
+    }
+
+    pub(crate) fn neuron_type(&self) -> NeuronType {
         self.neuron_type
     }
 
-    /// Total number of trainable scalars actually held by this instance
-    /// (matches [`NeuronType::param_count`] by construction).
-    pub fn param_count(&self) -> usize {
-        self.w_full.as_ref().map(|t| t.numel()).unwrap_or(0)
-            + self.wa.as_ref().map(|t| t.numel()).unwrap_or(0)
-            + self.wb.as_ref().map(|t| t.numel()).unwrap_or(0)
-            + self.wc.as_ref().map(|t| t.numel()).unwrap_or(0)
+    pub(crate) fn mode(&self) -> BackpropMode {
+        self.mode
     }
 
-    /// Evaluate the neuron on an input vector `x` of length `n`.
-    ///
-    /// # Panics
-    /// Panics if `x` does not match the neuron's input size.
-    pub fn forward(&self, x: &Tensor) -> f32 {
-        assert_eq!(x.ndim(), 1, "DenseQuadraticNeuron expects a vector input");
-        let dot = |w: &Tensor, v: &Tensor| w.dot(v).expect("matching lengths");
-        let quad_form = |m: &Tensor, v: &Tensor| {
-            // xᵀ M x
-            m.matvec(v).expect("shape").dot(v).expect("shape")
+    pub(crate) fn set_mode(&mut self, mode: BackpropMode) {
+        self.mode = mode;
+    }
+
+    /// Multiply-adds of the last forward: every weight branch, and the
+    /// bilinear term.
+    pub(crate) fn flops(&self) -> usize {
+        self.flops
+    }
+
+    pub(crate) fn params(&self) -> Vec<&Param> {
+        self.w_full.iter().chain(self.w.iter().flatten()).chain([&self.bias]).collect()
+    }
+
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.w_full.iter_mut().chain(self.w.iter_mut().flatten()).chain([&mut self.bias]).collect()
+    }
+
+    pub(crate) fn cached_bytes(&self) -> usize {
+        [&self.cached_x, &self.cached_za, &self.cached_zb].into_iter().flatten().map(Tensor::nbytes).sum()
+    }
+
+    pub(crate) fn clear_cache(&mut self) {
+        self.cached_x = None;
+        self.cached_za = None;
+        self.cached_zb = None;
+    }
+
+    /// The layer's output: the bilinear or second-order term, `+=` the
+    /// first-order term, `+ x`, then the bias. Eval keeps nothing; hybrid BP
+    /// keeps the input only and recomputes `za`, `zb` from it in backward.
+    pub(crate) fn forward(&mut self, ops: &impl Products, x: &Tensor, train: bool) -> Tensor {
+        let form = self.neuron_type.form();
+        let on_x = on_x_values(&self.w, form);
+        let mut z = if on_x.is_empty() { Vec::new() } else { ops.forward(x, &on_x) }.into_iter();
+        let squared =
+            form.on_square.map(|s| ops.forward(&x.square(), &[&slot(&self.w, s).value]).swap_remove(0));
+        let bilinear = self.w_full.as_ref().map(|w| ops.bilinear(x, &w.value));
+        let (za, zb) = match form.second {
+            SecondOrder::None => (None, None),
+            SecondOrder::Square => (z.next(), None),
+            SecondOrder::Product => (z.next(), z.next()),
         };
-        let value = match self.neuron_type {
-            NeuronType::T1 => quad_form(self.w_full.as_ref().unwrap(), x) + dot(self.wa.as_ref().unwrap(), x),
-            NeuronType::T2 => dot(self.wa.as_ref().unwrap(), &x.square()),
-            NeuronType::T3 => {
-                let s = dot(self.wa.as_ref().unwrap(), x);
-                s * s
-            }
-            NeuronType::T4 => dot(self.wa.as_ref().unwrap(), x) * dot(self.wb.as_ref().unwrap(), x),
-            NeuronType::T1And2 => {
-                quad_form(self.w_full.as_ref().unwrap(), x) + dot(self.wb.as_ref().unwrap(), &x.square())
-            }
-            NeuronType::T2And4 => {
-                dot(self.wa.as_ref().unwrap(), x) * dot(self.wb.as_ref().unwrap(), x)
-                    + dot(self.wc.as_ref().unwrap(), &x.square())
-            }
-            NeuronType::T4Identity => {
-                dot(self.wa.as_ref().unwrap(), x) * dot(self.wb.as_ref().unwrap(), x) + x.sum()
-            }
-            NeuronType::Ours => {
-                dot(self.wa.as_ref().unwrap(), x) * dot(self.wb.as_ref().unwrap(), x)
-                    + dot(self.wc.as_ref().unwrap(), x)
-            }
+        let second = match (&za, &zb) {
+            (Some(za), Some(zb)) => Some(za.mul(zb).expect("shape")),
+            (Some(za), None) => Some(za.square()),
+            _ => None,
         };
-        value + self.bias
+        let first = match form.first {
+            FirstOrder::XBranch => z.next(),
+            FirstOrder::SquaredInput => squared,
+            FirstOrder::Identity | FirstOrder::None => None,
+        };
+        let mut terms = bilinear.into_iter().chain(second).chain(first);
+        let mut out = terms.next().expect("every form has a term");
+        for term in terms {
+            out.add_assign(&term).expect("shape");
+        }
+        if form.first == FirstOrder::Identity {
+            out.add_assign(x).expect("shape");
+        }
+        // Per output channel, over however many trailing axes there are.
+        let plane: usize = out.shape()[2..].iter().product();
+        if plane > 0 {
+            let bias = self.bias.value.as_slice();
+            for (i, values) in out.as_mut_slice().chunks_exact_mut(plane).enumerate() {
+                let b = bias[i % bias.len()];
+                values.iter_mut().for_each(|v| *v += b);
+            }
+        }
+        // A weight branch does `w.numel() / outputs` multiply-adds per output.
+        let per_output = self.w.iter().flatten().next().map_or(0, |w| w.numel() / self.bias.numel().max(1));
+        self.flops = form.weights(out.numel() * per_output, x.shape()[1]);
+
+        let keep_branches = train && self.mode == BackpropMode::Default;
+        self.cached_x = train.then(|| x.clone());
+        self.cached_za = za.filter(|_| keep_branches);
+        self.cached_zb = zb.filter(|_| keep_branches);
+        out
+    }
+
+    /// Route `grad_out` to the bias and every branch, and return the input
+    /// gradient, accumulated bilinear → `x`-branches → `x²`-branch →
+    /// identity.
+    pub(crate) fn backward(&mut self, ops: &impl Products, grad_out: &Tensor) -> Tensor {
+        let x = self.cached_x.take().expect("backward called before forward");
+        self.bias.accumulate_grad(&ops.bias_grad(grad_out));
+        let form = self.neuron_type.form();
+        let on_x = on_x_values(&self.w, form);
+
+        // Hybrid BP recomputes za, zb with the forward's own products, so the
+        // recomputed values are the forward's bit for bit.
+        let arity = form.second.arity();
+        let (za, zb) = match (self.cached_za.take(), self.cached_zb.take()) {
+            (Some(za), zb) => (Some(za), zb),
+            (None, _) if arity > 0 => {
+                let mut z = ops.forward(&x, &on_x[..arity]).into_iter();
+                (z.next(), z.next())
+            }
+            _ => (None, None),
+        };
+        // The gradient reaching each `x`-branch, in slot order.
+        let product_grads = match (&za, &zb) {
+            (Some(za), Some(zb)) => {
+                [Some(grad_out.mul(zb).expect("shape")), Some(grad_out.mul(za).expect("shape"))]
+            }
+            (Some(za), None) => [Some(grad_out.mul(&za.mul_scalar(2.0)).expect("shape")), None],
+            _ => [None, None],
+        };
+        let linear = (form.first == FirstOrder::XBranch).then_some(grad_out);
+        let grads: Vec<&Tensor> = product_grads.iter().flatten().chain(linear).collect();
+
+        let mut grad_in = self.w_full.as_mut().map(|w| {
+            let (grad_in, grad_w) = ops.bilinear_backward(&x, grad_out, &w.value);
+            w.accumulate_grad(&grad_w);
+            grad_in
+        });
+        if !grads.is_empty() {
+            let (gx, gws) = ops.backward(&grads, &on_x, &x);
+            accumulate(&mut grad_in, gx);
+            for (&s, gw) in form.on_x.iter().zip(&gws) {
+                slot_mut(&mut self.w, s).accumulate_grad(gw);
+            }
+        }
+        if let Some(s) = form.on_square {
+            let w = slot_mut(&mut self.w, s);
+            let (gx, gws) = ops.backward(&[grad_out], &[&w.value], &x.square());
+            gws.iter().for_each(|gw| w.accumulate_grad(gw));
+            // d(x²)/dx = 2x
+            let gx = gx.mul(&x.mul_scalar(2.0)).expect("shape");
+            grad_in.get_or_insert_with(|| Tensor::zeros(x.shape())).add_assign(&gx).expect("shape");
+        }
+        let mut grad_in = grad_in.expect("every form reaches its input");
+        if form.first == FirstOrder::Identity {
+            grad_in.add_assign(grad_out).expect("shape");
+        }
+        grad_in
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QuadraticLinear;
+    use quadra_nn::Layer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(21)
+    }
+
+    /// `W·x` for the `[n, 1]` weight called `name` of a one-neuron layer.
+    fn dot(layer: &QuadraticLinear, name: &str, x: &Tensor) -> f32 {
+        let w = &layer.params().into_iter().find(|p| p.name == name).expect(name).value;
+        w.as_slice().iter().zip(x.as_slice()).map(|(w, x)| w * x).sum()
     }
 
     #[test]
@@ -284,6 +537,10 @@ mod tests {
         assert_eq!(NeuronType::T2And4.flop_count(n), 5 * n);
         assert_eq!(NeuronType::Ours.flop_count(n), 4 * n);
         assert_eq!(NeuronType::T1.flop_count(n), n * n + n);
+        assert_eq!(NeuronType::T4Identity.param_count(n), 2 * n);
+        assert_eq!(NeuronType::T3.flop_count(n), 2 * n);
+        assert_eq!(NeuronType::T1And2.flop_count(n), n * n + 2 * n);
+        assert_eq!(NeuronType::T4Identity.flop_count(n), 3 * n);
     }
 
     #[test]
@@ -319,37 +576,52 @@ mod tests {
     }
 
     #[test]
+    fn forms_are_consistent() {
+        for t in NeuronType::ALL {
+            let form = t.form();
+            // The second-order term reads the leading `x`-branches; an
+            // `XBranch` first-order term is the one after them.
+            let linear = usize::from(form.first == FirstOrder::XBranch);
+            assert_eq!(form.on_x.len(), form.second.arity() + linear, "type {t}");
+            assert_eq!(form.on_square.is_some(), form.first == FirstOrder::SquaredInput, "type {t}");
+            let mut slots: Vec<usize> = form.on_x.iter().copied().chain(form.on_square).collect();
+            slots.sort_unstable();
+            slots.dedup();
+            assert_eq!(slots.len(), form.slots(), "type {t} reuses a slot");
+        }
+    }
+
+    // A dense layer's output units are single neurons: the checks below run
+    // on `QuadraticLinear` layers, one neuron wide where the type allows.
+
+    #[test]
     fn dense_neuron_param_counts_match_closed_form() {
-        let n = 12;
         let mut r = rng();
         for t in NeuronType::ALL {
-            let neuron = DenseQuadraticNeuron::new(t, n, &mut r);
-            // T4Identity holds the same tensors as T4 (the identity adds none).
-            assert_eq!(neuron.param_count(), t.param_count(n), "type {}", t);
-            assert_eq!(neuron.neuron_type(), t);
+            // The identity mapping needs a square layer.
+            let (n, out) = if t == NeuronType::T4Identity { (12, 12) } else { (12, 5) };
+            let layer = QuadraticLinear::new(t, n, out, &mut r);
+            assert_eq!(layer.param_count(), out * t.param_count(n) + out, "type {t}");
         }
     }
 
     #[test]
     fn ours_forward_matches_manual_formula() {
         let mut r = rng();
-        let n = 5;
-        let neuron = DenseQuadraticNeuron::new(NeuronType::Ours, n, &mut r);
-        let x = Tensor::randn(&[n], 0.0, 1.0, &mut r);
-        let wa = neuron.wa.as_ref().unwrap();
-        let wb = neuron.wb.as_ref().unwrap();
-        let wc = neuron.wc.as_ref().unwrap();
-        let expect = wa.dot(&x).unwrap() * wb.dot(&x).unwrap() + wc.dot(&x).unwrap();
-        assert!((neuron.forward(&x) - expect).abs() < 1e-5);
+        let mut neuron = QuadraticLinear::new(NeuronType::Ours, 5, 1, &mut r);
+        let x = Tensor::randn(&[1, 5], 0.0, 1.0, &mut r);
+        let expect =
+            dot(&neuron, "qlinear.wa", &x) * dot(&neuron, "qlinear.wb", &x) + dot(&neuron, "qlinear.wc", &x);
+        assert!((neuron.forward(&x, false).at(&[0, 0]) - expect).abs() < 1e-5);
     }
 
     #[test]
     fn t3_square_of_linear_is_nonnegative_without_bias() {
         let mut r = rng();
-        let neuron = DenseQuadraticNeuron::new(NeuronType::T3, 8, &mut r);
+        let mut neuron = QuadraticLinear::new(NeuronType::T3, 8, 1, &mut r);
         for _ in 0..20 {
-            let x = Tensor::randn(&[8], 0.0, 1.0, &mut r);
-            assert!(neuron.forward(&x) >= 0.0);
+            let x = Tensor::randn(&[1, 8], 0.0, 1.0, &mut r);
+            assert!(neuron.forward(&x, false).at(&[0, 0]) >= 0.0);
         }
     }
 
@@ -357,12 +629,11 @@ mod tests {
     fn t1_quadratic_form_scaling() {
         // f(2x) - linear part should be 4x the quadratic part of f(x).
         let mut r = rng();
-        let neuron = DenseQuadraticNeuron::new(NeuronType::T1, 6, &mut r);
-        let x = Tensor::randn(&[6], 0.0, 1.0, &mut r);
-        let lin = neuron.wa.as_ref().unwrap();
-        let fx = neuron.forward(&x) - lin.dot(&x).unwrap();
+        let mut neuron = QuadraticLinear::new(NeuronType::T1, 6, 1, &mut r);
+        let x = Tensor::randn(&[1, 6], 0.0, 1.0, &mut r);
+        let fx = neuron.forward(&x, false).at(&[0, 0]) - dot(&neuron, "qlinear.wa", &x);
         let x2 = x.mul_scalar(2.0);
-        let fx2 = neuron.forward(&x2) - lin.dot(&x2).unwrap();
+        let fx2 = neuron.forward(&x2, false).at(&[0, 0]) - dot(&neuron, "qlinear.wa", &x2);
         assert!((fx2 - 4.0 * fx).abs() < 1e-4);
     }
 
@@ -370,9 +641,9 @@ mod tests {
     fn all_types_forward_produce_finite_values() {
         let mut r = rng();
         for t in NeuronType::ALL {
-            let neuron = DenseQuadraticNeuron::new(t, 10, &mut r);
-            let x = Tensor::randn(&[10], 0.0, 1.0, &mut r);
-            assert!(neuron.forward(&x).is_finite(), "type {}", t);
+            let mut layer = QuadraticLinear::new(t, 10, 10, &mut r);
+            let x = Tensor::randn(&[1, 10], 0.0, 1.0, &mut r);
+            assert!(!layer.forward(&x, false).has_non_finite(), "type {}", t);
         }
     }
 

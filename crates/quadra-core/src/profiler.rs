@@ -255,20 +255,18 @@ impl MemoryProfiler {
                 LayerSpec::Conv { batch_norm, relu, .. } => {
                     in_bytes + if *batch_norm { out_bytes } else { 0 } + if *relu { out_bytes } else { 0 }
                 }
-                // Quadratic conv (default BP) caches input + both branch outputs.
+                // A quadratic layer (default BP) caches its input and the
+                // branch outputs its second-order term reads.
                 LayerSpec::QuadraticConv { batch_norm, relu, neuron, .. } => {
-                    let branches = match neuron {
-                        crate::neuron::NeuronType::T2 => 0,
-                        crate::neuron::NeuronType::T3 => 1,
-                        _ => 2,
-                    };
                     in_bytes
-                        + branches * out_bytes
+                        + neuron.form().second.arity() * out_bytes
                         + if *batch_norm { out_bytes } else { 0 }
                         + if *relu { out_bytes } else { 0 }
                 }
                 LayerSpec::Linear { relu, .. } => in_bytes + if *relu { out_bytes } else { 0 },
-                LayerSpec::QuadraticLinear { .. } => in_bytes + 2 * out_bytes,
+                LayerSpec::QuadraticLinear { neuron, .. } => {
+                    in_bytes + neuron.form().second.arity() * out_bytes
+                }
                 LayerSpec::MaxPool { .. } => out_bytes * 2, // usize indices ≈ 8 bytes per output
                 LayerSpec::Dropout { .. } => in_bytes,
                 LayerSpec::Residual { body, .. } => {
@@ -451,6 +449,21 @@ mod tests {
         let (measured, _) = profiler.profile_step(&mut model, &input, 0);
         let ratio = est8.peak_activation_bytes as f64 / measured.peak_activation_bytes as f64;
         assert!(ratio > 0.5 && ratio < 2.0, "ratio {}", ratio);
+    }
+
+    #[test]
+    fn estimate_is_the_measured_cache_of_every_quadratic_layer() {
+        // Default BP caches the input and the branches the second-order term
+        // reads; the estimate must say exactly that, per type and layer.
+        use crate::builder::tests::{input_batch, single_layer_configs};
+        let mut rng = StdRng::seed_from_u64(12);
+        for cfg in single_layer_configs() {
+            let batch = 3;
+            let mut model = build_model(&cfg, &mut rng);
+            let _ = model.forward(&input_batch(&cfg, batch, &mut rng), true);
+            let estimate = MemoryProfiler::new().estimate_from_config(&cfg, batch, false);
+            assert_eq!(estimate.peak_activation_bytes, model.cached_bytes(), "{}", cfg.name);
+        }
     }
 
     #[test]

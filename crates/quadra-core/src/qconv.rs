@@ -9,7 +9,7 @@
 //! panics with an explanatory message.
 
 use crate::hybrid_bp::BackpropMode;
-use crate::neuron::NeuronType;
+use crate::neuron::{Branches, FirstOrder, NeuronType, Products};
 use quadra_nn::{Layer, Param};
 use quadra_tensor::{Conv2dParams, InitKind, Tensor};
 use rand::Rng;
@@ -22,30 +22,20 @@ use rand::Rng;
 /// implementation-friendly as a first-order layer (design insight 4 of the
 /// paper). The other supported types drop or alter individual branches.
 pub struct QuadraticConv2d {
-    neuron_type: NeuronType,
-    mode: BackpropMode,
+    branches: Branches,
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
     conv: Conv2dParams,
-    wa: Option<Param>,
-    wb: Option<Param>,
-    wc: Option<Param>,
-    bias: Param,
-    // Caches.
-    cached_x: Option<Tensor>,
-    cached_za: Option<Tensor>,
-    cached_zb: Option<Tensor>,
-    flops: usize,
 }
 
 impl QuadraticConv2d {
     /// Create a quadratic convolution layer.
     ///
     /// # Panics
-    /// Panics for [`NeuronType::T1`] / [`NeuronType::T1And2`] (see module docs)
-    /// and for [`NeuronType::T4Identity`] when the configuration would change
-    /// the tensor shape (identity mapping requires equal input/output shape).
+    /// Panics for the designs with a bilinear term, T1 and T1&2 (see module
+    /// docs), and for T4+Identity when the configuration would change the
+    /// tensor shape (identity mapping requires equal input/output shape).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         neuron_type: NeuronType,
@@ -57,55 +47,31 @@ impl QuadraticConv2d {
         groups: usize,
         rng: &mut impl Rng,
     ) -> Self {
+        let form = neuron_type.form();
         assert!(
-            !matches!(neuron_type, NeuronType::T1 | NeuronType::T1And2),
+            !form.bilinear,
             "{} convolution is not supported: its full-rank bilinear weight is O(n^2) per neuron \
              (problem P2 in the paper) and cannot be assembled from first-order convolutions (P4)",
             neuron_type.name()
         );
-        if neuron_type == NeuronType::T4Identity {
+        if form.first == FirstOrder::Identity {
             assert!(
                 in_channels == out_channels && stride == 1 && padding * 2 + 1 == kernel,
-                "T4+Identity requires shape-preserving convolution (in==out channels, stride 1, 'same' padding)"
+                "{} requires shape-preserving convolution (in==out channels, stride 1, 'same' padding)",
+                neuron_type.name()
             );
         }
         let fan_in = (in_channels / groups) * kernel * kernel;
         let fan_out = (out_channels / groups) * kernel * kernel;
-        let mut mk = |name: &str| {
-            Param::new(
-                name,
-                Tensor::init(
-                    &[out_channels, in_channels / groups, kernel, kernel],
-                    InitKind::KaimingNormal,
-                    fan_in,
-                    fan_out,
-                    rng,
-                ),
-            )
-        };
-        let needs_b = matches!(
-            neuron_type,
-            NeuronType::T4 | NeuronType::T4Identity | NeuronType::T2And4 | NeuronType::Ours
-        );
-        let needs_c = matches!(neuron_type, NeuronType::T2And4 | NeuronType::Ours);
-        let wa = Some(mk("qconv.wa"));
-        let wb = needs_b.then(|| mk("qconv.wb"));
-        let wc = needs_c.then(|| mk("qconv.wc"));
+        let shape = [out_channels, in_channels / groups, kernel, kernel];
         QuadraticConv2d {
-            neuron_type,
-            mode: BackpropMode::Default,
+            branches: Branches::new(neuron_type, "qconv", out_channels, |_| {
+                Tensor::init(&shape, InitKind::KaimingNormal, fan_in, fan_out, rng)
+            }),
             in_channels,
             out_channels,
             kernel,
             conv: Conv2dParams::new(stride, padding, groups),
-            wa,
-            wb,
-            wc,
-            bias: Param::new_no_decay("qconv.bias", Tensor::zeros(&[out_channels])),
-            cached_x: None,
-            cached_za: None,
-            cached_zb: None,
-            flops: 0,
         }
     }
 
@@ -121,17 +87,17 @@ impl QuadraticConv2d {
 
     /// The neuron design of this layer.
     pub fn neuron_type(&self) -> NeuronType {
-        self.neuron_type
+        self.branches.neuron_type()
     }
 
     /// Select the back-propagation mode.
     pub fn set_mode(&mut self, mode: BackpropMode) {
-        self.mode = mode;
+        self.branches.set_mode(mode);
     }
 
     /// The current back-propagation mode.
     pub fn mode(&self) -> BackpropMode {
-        self.mode
+        self.branches.mode()
     }
 
     /// Number of input channels.
@@ -153,191 +119,64 @@ impl QuadraticConv2d {
     pub fn conv_params(&self) -> Conv2dParams {
         self.conv
     }
+}
 
-    /// The branch weights convolved with `x` itself, in `Wa, Wb, Wc` order.
-    /// These share one lowering of `x` per sample, forward and backward.
-    fn weights_on_x(&self) -> Vec<&Tensor> {
-        let on_x = match self.neuron_type {
-            NeuronType::T2 => [None, None, None],
-            NeuronType::T2And4 => [self.wa.as_ref(), self.wb.as_ref(), None],
-            _ => [self.wa.as_ref(), self.wb.as_ref(), self.wc.as_ref()],
-        };
-        on_x.into_iter().flatten().map(|w| &w.value).collect()
+/// Convolutions: the branches on `x` share one lowering of it per sample,
+/// forward and backward.
+impl Products for Conv2dParams {
+    fn forward(&self, x: &Tensor, weights: &[&Tensor]) -> Vec<Tensor> {
+        x.conv2d_multi(weights, *self).expect("conv shapes")
     }
 
-    /// The branch weight convolved with `x²` (T2's only branch, T2&4's third).
-    fn weight_on_square(&mut self) -> Option<&mut Param> {
-        match self.neuron_type {
-            NeuronType::T2 => self.wa.as_mut(),
-            NeuronType::T2And4 => self.wc.as_mut(),
-            _ => None,
-        }
+    fn backward(&self, grads: &[&Tensor], weights: &[&Tensor], x: &Tensor) -> (Tensor, Vec<Tensor>) {
+        let grad_in =
+            Tensor::conv2d_backward_input_multi(grads, weights, x.shape(), *self).expect("conv input grad");
+        let shape = weights.first().map_or(&[][..], |w| w.shape());
+        let grad_w = Tensor::conv2d_backward_weight_multi(grads, x, shape, *self).expect("conv weight grad");
+        (grad_in, grad_w)
     }
 
-    /// `conv(x, W)` for the first `branches` weights of
-    /// [`Self::weights_on_x`], over one lowering of `x`.
-    fn convs_of_x(&self, x: &Tensor, branches: usize) -> Vec<Tensor> {
-        let mut weights = self.weights_on_x();
-        weights.truncate(branches);
-        if weights.is_empty() {
-            return Vec::new();
-        }
-        x.conv2d_multi(&weights, self.conv).expect("conv shapes")
-    }
-
-    fn branch_flops(&self, x: &Tensor, y: &Tensor) -> usize {
-        let n = x.shape()[0];
-        let (oh, ow) = (y.shape()[2], y.shape()[3]);
-        n * self.out_channels * oh * ow * (self.in_channels / self.conv.groups) * self.kernel * self.kernel
+    fn bias_grad(&self, grad_out: &Tensor) -> Tensor {
+        Tensor::conv2d_backward_bias(grad_out).expect("bias grad")
     }
 }
 
 impl Layer for QuadraticConv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.ndim(), 4, "QuadraticConv2d expects NCHW input");
-        let conv = self.conv;
-        let mut z = self.convs_of_x(x, 3).into_iter();
-        let (za, zb, lin) = (z.next(), z.next(), z.next());
-        let squared =
-            self.weight_on_square().map(|w| x.square().conv2d(&w.value, None, conv).expect("conv shapes"));
-        let nbranches = [&za, &zb, &lin, &squared].into_iter().flatten().count();
-
-        // Second-order term, then the first-order (or squared-input) term.
-        let product = match (&za, &zb) {
-            (Some(za), Some(zb)) => Some(za.mul(zb).expect("shape")),
-            (Some(za), None) => Some(za.square()),
-            _ => None,
-        };
-        let mut out = match (product, lin.or(squared)) {
-            (Some(mut product), Some(linear)) => {
-                product.add_assign(&linear).expect("shape");
-                product
-            }
-            (Some(only), None) | (None, Some(only)) => only,
-            (None, None) => unreachable!("every neuron type has at least one branch"),
-        };
-        if self.neuron_type == NeuronType::T4Identity {
-            out.add_assign(x).expect("shape");
-        }
-        // Per-channel bias.
-        let plane = out.shape()[2] * out.shape()[3];
-        if plane > 0 {
-            let bias = self.bias.value.as_slice();
-            for (i, values) in out.as_mut_slice().chunks_exact_mut(plane).enumerate() {
-                let b = bias[i % bias.len()];
-                values.iter_mut().for_each(|v| *v += b);
-            }
-        }
-        self.flops = nbranches * self.branch_flops(x, &out);
-
-        // Eval keeps nothing; hybrid BP keeps the input only and recomputes
-        // the branch outputs from it in backward.
-        let keep_branches = train && self.mode == BackpropMode::Default;
-        self.cached_x = train.then(|| x.clone());
-        self.cached_za = za.filter(|_| keep_branches);
-        self.cached_zb = zb.filter(|_| keep_branches);
-        out
+        self.branches.forward(&self.conv, x, train)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self.cached_x.take().expect("backward called before forward");
-        self.bias.accumulate_grad(&Tensor::conv2d_backward_bias(grad_out).expect("bias grad"));
-        let conv = self.conv;
-
-        // Gradient reaching each branch on `x`, in `Wa, Wb, Wc` order. Hybrid
-        // BP recomputes za, zb here — one lowering, the forward's own products,
-        // so the recomputed values are the forward's bit for bit.
-        let (za, zb) = match (self.cached_za.take(), self.cached_zb.take()) {
-            (Some(za), zb) => (Some(za), zb),
-            (None, _) => {
-                let mut z = self.convs_of_x(&x, 2).into_iter();
-                (z.next(), z.next())
-            }
-        };
-        let product_grads: Vec<Tensor> = match (self.neuron_type, &za, &zb) {
-            (NeuronType::T2, ..) => Vec::new(),
-            (NeuronType::T3, Some(za), _) => vec![grad_out.mul(&za.mul_scalar(2.0)).expect("shape")],
-            (_, Some(za), Some(zb)) => {
-                vec![grad_out.mul(zb).expect("shape"), grad_out.mul(za).expect("shape")]
-            }
-            _ => unreachable!("branch outputs exist for every type but T2"),
-        };
-        let mut grads: Vec<&Tensor> = product_grads.iter().collect();
-        if self.neuron_type == NeuronType::Ours {
-            grads.push(grad_out);
-        }
-
-        // One shared lowering for the weight gradients, one accumulated column
-        // gradient and one scatter for the input gradient.
-        let mut grad_in = if grads.is_empty() {
-            Tensor::zeros(x.shape())
-        } else {
-            let weights = self.weights_on_x();
-            let grad_in = Tensor::conv2d_backward_input_multi(&grads, &weights, x.shape(), conv)
-                .expect("conv input grad");
-            let gws = Tensor::conv2d_backward_weight_multi(&grads, &x, weights[0].shape(), conv)
-                .expect("conv weight grad");
-            for (w, gw) in [&mut self.wa, &mut self.wb, &mut self.wc].into_iter().flatten().zip(&gws) {
-                w.accumulate_grad(gw);
-            }
-            grad_in
-        };
-        if let Some(w) = self.weight_on_square() {
-            let xsq = x.square();
-            let gw = Tensor::conv2d_backward_weight(grad_out, &xsq, w.value.shape(), conv)
-                .expect("conv weight grad");
-            w.accumulate_grad(&gw);
-            let gx =
-                Tensor::conv2d_backward_input(grad_out, &w.value, x.shape(), conv).expect("conv input grad");
-            // d(x²)/dx = 2x
-            grad_in.add_assign(&gx.mul(&x.mul_scalar(2.0)).expect("shape")).expect("shape");
-        }
-        if self.neuron_type == NeuronType::T4Identity {
-            grad_in.add_assign(grad_out).expect("shape");
-        }
-        grad_in
+        self.branches.backward(&self.conv, grad_out)
     }
 
     fn params(&self) -> Vec<&Param> {
-        let mut p = Vec::new();
-        for w in [&self.wa, &self.wb, &self.wc].into_iter().flatten() {
-            p.push(w);
-        }
-        p.push(&self.bias);
-        p
+        self.branches.params()
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = Vec::new();
-        for w in [&mut self.wa, &mut self.wb, &mut self.wc].into_iter().flatten() {
-            p.push(w);
-        }
-        p.push(&mut self.bias);
-        p
+        self.branches.params_mut()
     }
 
     fn cached_bytes(&self) -> usize {
-        self.cached_x.as_ref().map(|t| t.nbytes()).unwrap_or(0)
-            + self.cached_za.as_ref().map(|t| t.nbytes()).unwrap_or(0)
-            + self.cached_zb.as_ref().map(|t| t.nbytes()).unwrap_or(0)
+        self.branches.cached_bytes()
     }
 
     fn clear_cache(&mut self) {
-        self.cached_x = None;
-        self.cached_za = None;
-        self.cached_zb = None;
+        self.branches.clear_cache();
     }
 
     fn flops_last_forward(&self) -> usize {
-        self.flops
+        self.branches.flops()
     }
 
     fn set_memory_saving(&mut self, enabled: bool) {
-        self.mode = if enabled { BackpropMode::Hybrid } else { BackpropMode::Default };
+        self.set_mode(if enabled { BackpropMode::Hybrid } else { BackpropMode::Default });
     }
 
     fn memory_saving(&self) -> bool {
-        self.mode == BackpropMode::Hybrid
+        self.mode() == BackpropMode::Hybrid
     }
 
     fn layer_type(&self) -> &'static str {
@@ -347,12 +186,12 @@ impl Layer for QuadraticConv2d {
     fn describe(&self) -> String {
         format!(
             "quadratic_conv2d[{}] {}→{} k{} ({} params, {})",
-            self.neuron_type.name(),
+            self.neuron_type().name(),
             self.in_channels,
             self.out_channels,
             self.kernel,
             self.param_count(),
-            self.mode
+            self.mode()
         )
     }
 }
@@ -377,36 +216,31 @@ mod tests {
         NeuronType::Ours,
     ];
 
-    /// Reference forward used by the finite-difference checks.
+    /// The value of the parameter called `name`.
+    fn weight(layer: &QuadraticConv2d, name: &str) -> Tensor {
+        layer.params().into_iter().find(|p| p.name == name).expect(name).value.clone()
+    }
+
+    /// Reference forward used by the finite-difference checks, spelled out
+    /// per type from the paper's formulas.
     fn reference_forward(layer: &QuadraticConv2d, x: &Tensor) -> Tensor {
-        let p = layer.conv;
-        let get = |w: &Option<Param>| w.as_ref().unwrap().value.clone();
-        let out = match layer.neuron_type {
-            NeuronType::T2 => x.square().conv2d(&get(&layer.wa), None, p).unwrap(),
-            NeuronType::T3 => x.conv2d(&get(&layer.wa), None, p).unwrap().square(),
-            NeuronType::T4 => {
-                let a = x.conv2d(&get(&layer.wa), None, p).unwrap();
-                let b = x.conv2d(&get(&layer.wb), None, p).unwrap();
-                a.mul(&b).unwrap()
-            }
-            NeuronType::T4Identity => {
-                let a = x.conv2d(&get(&layer.wa), None, p).unwrap();
-                let b = x.conv2d(&get(&layer.wb), None, p).unwrap();
-                a.mul(&b).unwrap().add(x).unwrap()
-            }
-            NeuronType::T2And4 => {
-                let a = x.conv2d(&get(&layer.wa), None, p).unwrap();
-                let b = x.conv2d(&get(&layer.wb), None, p).unwrap();
-                a.mul(&b).unwrap().add(&x.square().conv2d(&get(&layer.wc), None, p).unwrap()).unwrap()
-            }
+        let conv = |x: &Tensor, name: &str| x.conv2d(&weight(layer, name), None, layer.conv).unwrap();
+        let out = match layer.neuron_type() {
+            NeuronType::T2 => conv(&x.square(), "qconv.wa"),
+            NeuronType::T3 => conv(x, "qconv.wa").square(),
+            NeuronType::T4 => conv(x, "qconv.wa").mul(&conv(x, "qconv.wb")).unwrap(),
+            NeuronType::T4Identity => conv(x, "qconv.wa").mul(&conv(x, "qconv.wb")).unwrap().add(x).unwrap(),
+            NeuronType::T2And4 => conv(x, "qconv.wa")
+                .mul(&conv(x, "qconv.wb"))
+                .unwrap()
+                .add(&conv(&x.square(), "qconv.wc"))
+                .unwrap(),
             NeuronType::Ours => {
-                let a = x.conv2d(&get(&layer.wa), None, p).unwrap();
-                let b = x.conv2d(&get(&layer.wb), None, p).unwrap();
-                a.mul(&b).unwrap().add(&x.conv2d(&get(&layer.wc), None, p).unwrap()).unwrap()
+                conv(x, "qconv.wa").mul(&conv(x, "qconv.wb")).unwrap().add(&conv(x, "qconv.wc")).unwrap()
             }
             _ => unreachable!(),
         };
-        let bias = layer.bias.value.reshape(&[1, layer.out_channels, 1, 1]).unwrap();
+        let bias = weight(layer, "qconv.bias").reshape(&[1, layer.out_channels, 1, 1]).unwrap();
         out.add(&bias).unwrap()
     }
 
