@@ -1,17 +1,13 @@
-//! CLI entry point: `cargo run -p quadra-analyze -- [--deny] [--root DIR]
-//! [--report PATH] [--baseline PATH] [--write-baseline PATH]`.
+//! CLI entry point: `cargo run -p quadra-analyze -- [--deny]`.
 //!
-//! Prints the human diff-style report to stdout, writes the machine-readable
-//! `ANALYZE_report.json` at the workspace root (or `--report PATH`), and with
-//! `--deny` exits non-zero when any unsuppressed finding remains — the mode
-//! CI runs as a blocking gate.
-//!
-//! With `--baseline PATH`, `--deny` fails only on findings **beyond** the
-//! committed baseline (ratcheting: existing debt is tolerated, new debt is
-//! not, and the baseline may only shrink). `--write-baseline PATH` snapshots
-//! the current unsuppressed findings to ratchet the file down after fixes.
+//! Analyzes the workspace whose root is the first `Cargo.toml` declaring
+//! `[workspace]` at or above the current directory. Prints the human
+//! diff-style report to stdout, writes the machine-readable
+//! `ANALYZE_report.json` at that root, and with `--deny` exits 1 when any
+//! unsuppressed finding remains — the mode CI runs as a blocking gate. A
+//! finding is accepted only by an inline `allow(...)` directive with a
+//! reason. Unknown arguments exit 2.
 
-use quadra_analyze::baseline::Baseline;
 use quadra_analyze::{analyze_root, AnalyzeConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -19,23 +15,11 @@ use std::time::Instant;
 
 fn main() -> ExitCode {
     let mut deny = false;
-    let mut root: Option<PathBuf> = None;
-    let mut report_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline_path: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--deny" => deny = true,
-            "--root" => root = args.next().map(PathBuf::from),
-            "--report" => report_path = args.next().map(PathBuf::from),
-            "--baseline" => baseline_path = args.next().map(PathBuf::from),
-            "--write-baseline" => write_baseline_path = args.next().map(PathBuf::from),
             "--help" | "-h" => {
-                println!(
-                    "usage: quadra-analyze [--deny] [--root DIR] [--report PATH] \
-                     [--baseline PATH] [--write-baseline PATH]"
-                );
+                println!("usage: quadra-analyze [--deny]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -44,12 +28,11 @@ fn main() -> ExitCode {
             }
         }
     }
-    let root = match root.or_else(find_workspace_root) {
-        Some(r) => r,
-        None => {
-            eprintln!("quadra-analyze: could not locate the workspace root (no Cargo.toml with [workspace] above the current directory); pass --root");
-            return ExitCode::from(2);
-        }
+    let Some(root) = find_workspace_root() else {
+        eprintln!(
+            "quadra-analyze: could not locate the workspace root (no Cargo.toml with [workspace] at or above the current directory)"
+        );
+        return ExitCode::from(2);
     };
     let cfg = AnalyzeConfig::workspace();
 
@@ -63,59 +46,13 @@ fn main() -> ExitCode {
     };
 
     print!("{}", report.human());
-    let out = report_path.unwrap_or_else(|| root.join("ANALYZE_report.json"));
+    let out = root.join("ANALYZE_report.json");
     if let Err(e) = std::fs::write(&out, report.to_json()) {
         eprintln!("quadra-analyze: failed to write {}: {e}", out.display());
         return ExitCode::from(2);
     }
     println!("report written to {}", out.display());
     println!("analysis completed in {}ms", started.elapsed().as_millis());
-
-    if let Some(path) = write_baseline_path {
-        let snapshot = Baseline::from_report(&report);
-        if let Err(e) = std::fs::write(&path, snapshot.to_json()) {
-            eprintln!("quadra-analyze: failed to write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("baseline written to {} ({} entr(y/ies))", path.display(), snapshot.entries.len());
-    }
-
-    if let Some(path) = &baseline_path {
-        let baseline = match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| Baseline::from_json(&t))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("quadra-analyze: failed to load baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let new = baseline.new_findings(&report);
-        let stale = baseline.stale_count(&report);
-        if stale > 0 {
-            println!(
-                "note: {stale} baseline entr(y/ies) no longer fire — ratchet down with \
-                 --write-baseline {}",
-                path.display()
-            );
-        }
-        if !new.is_empty() {
-            eprintln!(
-                "quadra-analyze: baseline drift: {} new finding(s) not in {}:",
-                new.len(),
-                path.display()
-            );
-            for f in &new {
-                eprintln!("  {}:{}: [{}:{}] {}", f.file, f.line, f.pass, f.check, f.message);
-            }
-            if deny {
-                return ExitCode::FAILURE;
-            }
-        }
-        // Under a baseline, tolerated findings do not fail the gate.
-        return ExitCode::SUCCESS;
-    }
 
     if deny && report.unsuppressed_count() > 0 {
         eprintln!("quadra-analyze: denying: {} unsuppressed finding(s)", report.unsuppressed_count());

@@ -1,6 +1,7 @@
 //! Finding and report types, plus the hand-written JSON serializer for
 //! `ANALYZE_report.json` (the vendored serde stand-in is deliberately not a
-//! dependency here — the analyzer must stay buildable in isolation).
+//! dependency here — the analyzer must stay buildable in isolation). The
+//! analyzer only writes JSON; nothing in it reads the report back.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -233,10 +234,18 @@ mod tests {
 
     #[test]
     fn json_escapes_quotes() {
+        let mut escaped = finding("a", false);
+        escaped.file = "dir\\f.rs".to_string();
+        escaped.check = "tab\there".to_string();
+        let mut controls = finding("b", true);
+        controls.message = "line\nbreak \u{1}bell".to_string();
         let report =
-            Report { findings: vec![finding("a", false)], unused_suppressions: vec![], files_analyzed: 1 };
+            Report { findings: vec![escaped, controls], unused_suppressions: vec![], files_analyzed: 1 };
         let json = report.to_json();
-        assert!(json.contains("msg with \\\"quotes\\\""));
+        assert!(json.contains(r#""message": "msg with \"quotes\"""#));
+        assert!(json.contains(r#""file": "dir\\f.rs""#));
+        assert!(json.contains(r#""check": "tab\there""#));
+        assert!(json.contains(r#""message": "line\nbreak \u0001bell""#));
         assert!(json.contains("\"unsuppressed\": 1"));
     }
 

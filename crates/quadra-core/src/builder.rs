@@ -140,7 +140,18 @@ pub struct AutoBuilder {
 impl AutoBuilder {
     /// Create an auto-builder that converts models to the given neuron type
     /// (the paper's QuadraNN uses its proposed neuron, "Ours").
+    ///
+    /// # Panics
+    /// Panics for the designs with a bilinear term, T1 and T1&2: the builder
+    /// converts convolutions, and [`QuadraticConv2d::new`](crate::QuadraticConv2d::new)
+    /// cannot build those types.
     pub fn new(neuron: NeuronType) -> Self {
+        assert!(
+            !neuron.form().bilinear,
+            "{} convolution is not supported: its full-rank bilinear weight cannot be assembled \
+             from first-order convolutions (P4)",
+            neuron.name()
+        );
         AutoBuilder { neuron }
     }
 
@@ -385,6 +396,18 @@ pub(crate) mod tests {
         let f1 = estimate_flops(&cfg) as f32;
         let f3 = estimate_flops(&q) as f32;
         assert!(f3 / f1 > 2.5 && f3 / f1 <= 3.0 + 1e-3);
+    }
+
+    #[test]
+    #[should_panic(expected = "not supported")]
+    fn t1_auto_builder_is_rejected() {
+        let _ = AutoBuilder::new(NeuronType::T1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not supported")]
+    fn t1_and_2_auto_builder_is_rejected() {
+        let _ = AutoBuilder::new(NeuronType::T1And2);
     }
 
     #[test]

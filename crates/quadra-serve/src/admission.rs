@@ -236,13 +236,7 @@ impl AdmissionQueue {
     /// and compatible requests too large for the remaining sample budget are
     /// skipped (they stay queued in order).
     // quadra-analyze: allow(panic_path:indexing, class arrays are Priority::COUNT-sized; queue indices come from the 0..len candidate scan)
-    pub fn take_compatible(
-        &self,
-        key: &[usize],
-        pad_mixed_spatial: bool,
-        max_samples: usize,
-        deadline: Instant,
-    ) -> TakeResult {
+    pub fn take_compatible(&self, key: &[usize], max_samples: usize, deadline: Instant) -> TakeResult {
         let mut st = lock_or_recover(&self.state);
         loop {
             // Requests carry ≥1 sample each, so `max_samples` bounds the take.
@@ -253,9 +247,8 @@ impl AdmissionQueue {
                 // EDF slack ordering: a tight-deadline request rides the
                 // batch that is leaving *now* instead of waiting out the
                 // FIFO prefix ahead of it.
-                let mut order: Vec<usize> = (0..queue.len())
-                    .filter(|&i| compat_key(queue[i].input.shape(), pad_mixed_spatial) == key)
-                    .collect();
+                let mut order: Vec<usize> =
+                    (0..queue.len()).filter(|&i| compat_key(queue[i].input.shape()) == key).collect();
                 order.sort_by_key(|&i| (queue[i].deadline.is_none(), queue[i].deadline, i));
                 let mut chosen = Vec::with_capacity(order.len());
                 for &i in &order {
@@ -439,8 +432,8 @@ mod tests {
         .unwrap(); // [1, 3] — different trailing shape, must stay queued
         q.try_admit(req(4, Priority::Interactive)).unwrap(); // too big for budget 3
 
-        let key = compat_key(&[1, 2], false);
-        match q.take_compatible(&key, false, 3, Instant::now()) {
+        let key = compat_key(&[1, 2]);
+        match q.take_compatible(&key, 3, Instant::now()) {
             TakeResult::Taken(reqs) => {
                 assert_eq!(reqs.len(), 1);
                 assert_eq!(reqs[0].samples, 2);
@@ -468,8 +461,8 @@ mod tests {
         q.try_admit(req_with(3, 1, Priority::Interactive, Some(now + Duration::from_millis(5)))).unwrap();
         q.try_admit(req_with(4, 1, Priority::Interactive, Some(now + Duration::from_secs(60)))).unwrap();
 
-        let key = compat_key(&[1, 2], false);
-        match q.take_compatible(&key, false, 8, now) {
+        let key = compat_key(&[1, 2]);
+        match q.take_compatible(&key, 8, now) {
             TakeResult::Taken(reqs) => {
                 let ids: Vec<u64> = reqs.iter().map(|r| r.id).collect();
                 assert_eq!(ids, vec![3, 4, 1, 2], "deadlines first (tightest leading), then FIFO");
@@ -488,8 +481,8 @@ mod tests {
         q.try_admit(req_with(2, 2, Priority::Interactive, None)).unwrap();
         q.try_admit(req_with(3, 1, Priority::Interactive, Some(now + Duration::from_millis(1)))).unwrap();
 
-        let key = compat_key(&[1, 2], false);
-        match q.take_compatible(&key, false, 3, now) {
+        let key = compat_key(&[1, 2]);
+        match q.take_compatible(&key, 3, now) {
             TakeResult::Taken(reqs) => {
                 let ids: Vec<u64> = reqs.iter().map(|r| r.id).collect();
                 assert_eq!(ids, vec![3, 1], "the deadlined request jumps the FIFO prefix");
@@ -508,8 +501,8 @@ mod tests {
         q.try_admit(req_with(1, 1, Priority::Batch, Some(now + Duration::from_millis(1)))).unwrap();
         q.try_admit(req_with(2, 1, Priority::Interactive, None)).unwrap();
 
-        let key = compat_key(&[1, 2], false);
-        match q.take_compatible(&key, false, 8, now) {
+        let key = compat_key(&[1, 2]);
+        match q.take_compatible(&key, 8, now) {
             TakeResult::Taken(reqs) => {
                 let ids: Vec<u64> = reqs.iter().map(|r| r.id).collect();
                 assert_eq!(ids, vec![2, 1], "class order dominates deadline order");
@@ -570,9 +563,9 @@ mod tests {
         assert_eq!(err, AdmitRejection::Closed);
         assert!(matches!(q.pop_blocking(), PopResult::Request(_)));
         assert!(matches!(q.pop_blocking(), PopResult::Closed));
-        let key = compat_key(&[1, 2], false);
+        let key = compat_key(&[1, 2]);
         assert!(matches!(
-            q.take_compatible(&key, false, 8, Instant::now() + Duration::from_secs(5)),
+            q.take_compatible(&key, 8, Instant::now() + Duration::from_secs(5)),
             TakeResult::Closed
         ));
     }

@@ -225,7 +225,6 @@ mod tests {
                     max_batch_size: 8,
                     max_wait: Duration::from_millis(16),
                     adaptive_wait: adaptive,
-                    pad_mixed_spatial: false,
                 },
                 admission: AdmissionPolicy::default(),
                 weight: 1,
@@ -270,12 +269,7 @@ mod tests {
             "zero",
             ServeConfig {
                 workers: 1,
-                policy: BatchPolicy {
-                    max_batch_size: 8,
-                    max_wait: Duration::ZERO,
-                    adaptive_wait: true,
-                    pad_mixed_spatial: false,
-                },
+                policy: BatchPolicy { max_batch_size: 8, max_wait: Duration::ZERO, adaptive_wait: true },
                 admission: AdmissionPolicy::default(),
                 weight: 1,
             },

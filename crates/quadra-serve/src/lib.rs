@@ -31,11 +31,10 @@
 //!   batch formed ahead of execution, so an admitted request's floor sojourn
 //!   under overload is one batch service time, not two. The wait budget is
 //!   adaptive by default (EWMA inter-arrival × remaining fill, capped by
-//!   2 × EWMA service time and `max_wait`). Only same-shape requests coalesce
-//!   by default; `BatchPolicy::pad_mixed_spatial` opts NCHW inputs into
-//!   zero-padded mixed-size batches. Cancelled and deadline-expired requests
-//!   are shed at this dispatch moment with [`ServeError::Cancelled`] /
-//!   [`ServeError::DeadlineExceeded`].
+//!   2 × EWMA service time and `max_wait`). Only same-shape requests coalesce,
+//!   so a served prediction never depends on which requests shared its
+//!   batch. Cancelled and deadline-expired requests are shed at this dispatch
+//!   moment with [`ServeError::Cancelled`] / [`ServeError::DeadlineExceeded`].
 //! * **Weighted fair sharing**: endpoints contend for the worker CPU through
 //!   a deficit-round-robin fleet scheduler — under contention each endpoint
 //!   is granted batch service time proportional to [`ServeConfig::weight`],

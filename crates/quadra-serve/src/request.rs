@@ -171,27 +171,11 @@ pub struct BatchPolicy {
     /// longer amortises) nor `max_wait`, and never less than `max_wait / 16`
     /// (so bursts in flight still coalesce).
     pub adaptive_wait: bool,
-    /// Allow NCHW requests with different H×W (same channel count) to share a
-    /// batch by zero-padding every sample to the largest H and W present.
-    ///
-    /// Off by default: padding changes what the model sees (a pooling layer
-    /// averages over the padded zeros, a `Flatten`+`Linear` head panics on the
-    /// changed feature count), so a request's prediction could depend on the
-    /// traffic it happened to ride with. Leave this off to keep served
-    /// predictions bitwise-identical to direct `forward` calls; turn it on
-    /// only for fully convolutional models where approximate mixed-size
-    /// pooling is acceptable.
-    pub pad_mixed_spatial: bool,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        BatchPolicy {
-            max_batch_size: 16,
-            max_wait: Duration::from_millis(2),
-            adaptive_wait: true,
-            pad_mixed_spatial: false,
-        }
+        BatchPolicy { max_batch_size: 16, max_wait: Duration::from_millis(2), adaptive_wait: true }
     }
 }
 

@@ -52,65 +52,30 @@ impl Batch {
 }
 
 /// Which requests may share a batch: the batch axis is always axis 0 and the
-/// trailing axes must match exactly — unless the policy opts into
-/// `pad_mixed_spatial`, in which case NCHW inputs only need matching channel
-/// counts (H/W are zero-padded to the batch maximum).
-// quadra-analyze: allow(panic_path:indexing, the 4-length check guards shape[1] and shape[1..] never exceeds len)
-pub(crate) fn compat_key(shape: &[usize], pad_mixed_spatial: bool) -> Vec<usize> {
-    if shape.len() == 4 && pad_mixed_spatial {
-        vec![4, shape[1]]
-    } else {
-        let mut key = vec![shape.len()];
-        key.extend_from_slice(&shape[1..]);
-        key
+/// trailing axes must match exactly, so a served prediction never depends on
+/// which requests shared its batch.
+pub(crate) fn compat_key(shape: &[usize]) -> Vec<usize> {
+    let mut key = vec![shape.len()];
+    if let Some((_, trailing)) = shape.split_first() {
+        key.extend_from_slice(trailing);
     }
+    key
 }
 
-/// Concatenate the requests' inputs along axis 0, zero-padding NCHW samples
-/// at the bottom/right to the largest H and W in the batch. Returns the batch
-/// tensor and the per-request sample counts (in request order), or an error
-/// when the batch is malformed (empty, or shapes that slipped past
-/// `compat_key`) — the worker answers every rider with it instead of
-/// panicking mid-batch.
-// quadra-analyze: allow(panic_path:indexing, all indices are bounded by the compat_key-validated 4-d shapes and the zeros-allocated batch extent)
+/// Concatenate the requests' inputs along axis 0. Returns the batch tensor
+/// and the per-request sample counts (in request order), or an error when the
+/// batch is malformed (empty, or shapes that slipped past `compat_key`) — the
+/// worker answers every rider with it instead of panicking mid-batch.
 pub(crate) fn assemble(requests: &[PendingInfer]) -> Result<(Tensor, Vec<usize>), ServeError> {
-    let Some(head) = requests.first() else {
+    if requests.is_empty() {
         // quadra-analyze: allow(hot_alloc:to-string, error path: an empty batch is a dispatch bug, not steady-state traffic)
         return Err(ServeError::WorkerFailed("cannot assemble an empty batch".to_string()));
-    };
+    }
     let counts: Vec<usize> = requests.iter().map(|r| r.samples).collect();
-    let total: usize = counts.iter().sum();
-    let first = head.input.shape();
-    let needs_padding = first.len() == 4
-        && requests.iter().any(|r| r.input.shape()[2] != first[2] || r.input.shape()[3] != first[3]);
-    if !needs_padding {
-        let refs: Vec<&Tensor> = requests.iter().map(|r| &r.input).collect();
-        let batch = Tensor::concat(&refs, 0)
-            // quadra-analyze: allow(hot_alloc:format, error path: compat_key guarantees concat succeeds for admitted batches)
-            .map_err(|e| ServeError::WorkerFailed(format!("batch assembly failed: {e}")))?;
-        return Ok((batch, counts));
-    }
-
-    let c = first[1];
-    let h_max = requests.iter().map(|r| r.input.shape()[2]).fold(first[2], usize::max);
-    let w_max = requests.iter().map(|r| r.input.shape()[3]).fold(first[3], usize::max);
-    let mut batch = Tensor::zeros(&[total, c, h_max, w_max]);
-    let dst = batch.as_mut_slice();
-    let mut row = 0;
-    for r in requests {
-        let (n, h, w) = (r.input.shape()[0], r.input.shape()[2], r.input.shape()[3]);
-        let src = r.input.as_slice();
-        for ni in 0..n {
-            for ci in 0..c {
-                for hi in 0..h {
-                    let s = ((ni * c + ci) * h + hi) * w;
-                    let d = (((row + ni) * c + ci) * h_max + hi) * w_max;
-                    dst[d..d + w].copy_from_slice(&src[s..s + w]);
-                }
-            }
-        }
-        row += n;
-    }
+    let refs: Vec<&Tensor> = requests.iter().map(|r| &r.input).collect();
+    let batch = Tensor::concat(&refs, 0)
+        // quadra-analyze: allow(hot_alloc:format, error path: compat_key guarantees concat succeeds for admitted batches)
+        .map_err(|e| ServeError::WorkerFailed(format!("batch assembly failed: {e}")))?;
     Ok((batch, counts))
 }
 
@@ -404,7 +369,7 @@ pub(crate) fn next_batch(shared: &EndpointShared) -> Option<(Batch, GrantGuard)>
         // Shed dead seeds before spending any fair-share credit on them.
         let Some(first) = retain_live(vec![first], shared).pop() else { continue };
 
-        let key = compat_key(first.input.shape(), policy.pad_mixed_spatial);
+        let key = compat_key(first.input.shape());
         let mut samples = first.samples;
         // Batch assembly runs per batch on the hot path; size for the cap so
         // pushes below never reallocate.
@@ -413,12 +378,7 @@ pub(crate) fn next_batch(shared: &EndpointShared) -> Option<(Batch, GrantGuard)>
         if samples < policy.max_batch_size {
             let deadline = Instant::now() + shared.wait_budget(samples);
             while samples < policy.max_batch_size {
-                match shared.queue.take_compatible(
-                    &key,
-                    policy.pad_mixed_spatial,
-                    policy.max_batch_size - samples,
-                    deadline,
-                ) {
+                match shared.queue.take_compatible(&key, policy.max_batch_size - samples, deadline) {
                     TakeResult::Taken(reqs) => {
                         for r in reqs {
                             samples += r.samples;
@@ -439,12 +399,9 @@ pub(crate) fn next_batch(shared: &EndpointShared) -> Option<(Batch, GrantGuard)>
         // The gate may have throttled us for a while: top the batch off with
         // whatever compatible work arrived in the meantime (without waiting).
         if samples < policy.max_batch_size {
-            if let TakeResult::Taken(reqs) = shared.queue.take_compatible(
-                &key,
-                policy.pad_mixed_spatial,
-                policy.max_batch_size - samples,
-                Instant::now(),
-            ) {
+            if let TakeResult::Taken(reqs) =
+                shared.queue.take_compatible(&key, policy.max_batch_size - samples, Instant::now())
+            {
                 requests.extend(reqs);
             }
             shared.fleet.nudge();
@@ -476,22 +433,14 @@ mod tests {
 
     #[test]
     fn compat_key_requires_exact_shapes_by_default() {
-        // Without the padding opt-in, mixed spatial sizes must not share a
-        // batch — padding would change the served predictions.
-        assert_ne!(compat_key(&[1, 3, 8, 8], false), compat_key(&[2, 3, 16, 4], false));
-        assert_eq!(compat_key(&[1, 3, 8, 8], false), compat_key(&[2, 3, 8, 8], false));
-        assert_eq!(compat_key(&[5, 10], false), compat_key(&[1, 10], false));
-        assert_ne!(compat_key(&[5, 10], false), compat_key(&[5, 11], false));
+        // Mixed spatial sizes must not share a batch: padding would change
+        // the served predictions.
+        assert_ne!(compat_key(&[1, 3, 8, 8]), compat_key(&[2, 3, 16, 4]));
+        assert_eq!(compat_key(&[1, 3, 8, 8]), compat_key(&[2, 3, 8, 8]));
+        assert_eq!(compat_key(&[5, 10]), compat_key(&[1, 10]));
+        assert_ne!(compat_key(&[5, 10]), compat_key(&[5, 11]));
         // A 2-d [n, 12] input must not pool with a 3-d [n, 3, 4] one.
-        assert_ne!(compat_key(&[1, 12], false), compat_key(&[1, 3, 4], false));
-    }
-
-    #[test]
-    fn compat_key_pools_nchw_by_channel_when_padding_enabled() {
-        assert_eq!(compat_key(&[1, 3, 8, 8], true), compat_key(&[2, 3, 16, 4], true));
-        assert_ne!(compat_key(&[1, 3, 8, 8], true), compat_key(&[1, 4, 8, 8], true));
-        // The opt-in only affects 4-d inputs.
-        assert_ne!(compat_key(&[5, 10], true), compat_key(&[5, 11], true));
+        assert_ne!(compat_key(&[1, 12]), compat_key(&[1, 3, 4]));
     }
 
     #[test]
@@ -502,17 +451,6 @@ mod tests {
         assert_eq!(batch.shape(), &[3, 2]);
         assert_eq!(counts, vec![1, 2]);
         assert_eq!(batch.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn assemble_zero_pads_mixed_spatial_sizes() {
-        // 1×1×1×2 and 1×1×2×1 coalesce into a 2×1×2×2 zero-padded batch.
-        let (a, _ra) = pend(Tensor::from_vec(vec![1.0, 2.0], &[1, 1, 1, 2]).unwrap());
-        let (b, _rb) = pend(Tensor::from_vec(vec![3.0, 4.0], &[1, 1, 2, 1]).unwrap());
-        let (batch, counts) = assemble(&[a, b]).unwrap();
-        assert_eq!(batch.shape(), &[2, 1, 2, 2]);
-        assert_eq!(counts, vec![1, 1]);
-        assert_eq!(batch.as_slice(), &[1.0, 2.0, 0.0, 0.0, 3.0, 0.0, 4.0, 0.0]);
     }
 
     /// Register a test member and return its index plus its depth cell (the

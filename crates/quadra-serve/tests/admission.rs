@@ -245,12 +245,7 @@ fn duplicate_and_empty_endpoint_names_are_rejected() {
 fn adaptive_wait_budget_converges_under_steady_load() {
     let config = ServeConfig {
         workers: 1,
-        policy: BatchPolicy {
-            max_batch_size: 8,
-            max_wait: Duration::from_millis(25),
-            adaptive_wait: true,
-            ..BatchPolicy::default()
-        },
+        policy: BatchPolicy { max_batch_size: 8, max_wait: Duration::from_millis(25), adaptive_wait: true },
         admission: AdmissionPolicy { queue_capacity: None, ..AdmissionPolicy::default() },
         ..ServeConfig::default()
     };
@@ -291,12 +286,7 @@ fn adaptive_wait_budget_converges_under_steady_load() {
 fn static_wait_budget_stays_at_max_wait() {
     let config = ServeConfig {
         workers: 1,
-        policy: BatchPolicy {
-            max_batch_size: 8,
-            max_wait: Duration::from_millis(3),
-            adaptive_wait: false,
-            ..BatchPolicy::default()
-        },
+        policy: BatchPolicy { max_batch_size: 8, max_wait: Duration::from_millis(3), adaptive_wait: false },
         ..ServeConfig::default()
     };
     let router = Router::builder().endpoint(MODEL, config, || Box::new(mlp(0))).start().unwrap();

@@ -250,12 +250,12 @@ fn identity_server(policy: BatchPolicy) -> Router {
 }
 
 #[test]
-fn mixed_spatial_sizes_pad_only_when_opted_in() {
-    // GlobalAvgPool-free identity over NCHW: padding is visible in the output.
+fn mixed_spatial_sizes_never_share_a_batch() {
+    // A request's prediction must not depend on what it rides with: mixed
+    // sizes form separate batches and nothing is padded.
     let router = identity_server(BatchPolicy {
         max_batch_size: 4,
         max_wait: Duration::from_millis(50),
-        pad_mixed_spatial: true,
         ..BatchPolicy::default()
     });
     let client = router.client();
@@ -266,37 +266,7 @@ fn mixed_spatial_sizes_pad_only_when_opted_in() {
     let _ = warmup.wait().unwrap();
     let small = small.wait().unwrap();
     let large = large.wait().unwrap();
-    if small.batch_samples == 2 {
-        // Coalesced: the smaller sample was zero-padded to 2×2.
-        assert_eq!(small.output.shape(), &[1, 1, 2, 2]);
-        assert_eq!(small.output.as_slice(), &[2.0, 2.0, 0.0, 0.0]);
-    } else {
-        // Scheduling did not coalesce them (timing); both must still be served.
-        assert_eq!(small.output.shape()[0], 1);
-    }
-    assert_eq!(large.output.as_slice(), &[3.0; 4]);
-    let _ = shutdown(router);
-}
-
-#[test]
-fn mixed_spatial_sizes_never_share_a_batch_by_default() {
-    // Without the opt-in, a request's prediction must not depend on what it
-    // rides with: mixed sizes form separate batches and nothing is padded.
-    let router = identity_server(BatchPolicy {
-        max_batch_size: 4,
-        max_wait: Duration::from_millis(50),
-        pad_mixed_spatial: false,
-        ..BatchPolicy::default()
-    });
-    let client = router.client();
-    let warmup = client.send(MODEL, Request::new(Tensor::ones(&[1, 1, 1, 1]))).unwrap();
-    std::thread::sleep(Duration::from_millis(5));
-    let small = client.send(MODEL, Request::new(Tensor::full(&[1, 1, 1, 2], 2.0))).unwrap();
-    let large = client.send(MODEL, Request::new(Tensor::full(&[1, 1, 2, 2], 3.0))).unwrap();
-    let _ = warmup.wait().unwrap();
-    let small = small.wait().unwrap();
-    let large = large.wait().unwrap();
-    assert_eq!(small.batch_samples, 1, "mixed sizes must not coalesce by default");
+    assert_eq!(small.batch_samples, 1, "mixed sizes must not coalesce");
     assert_eq!(small.output.shape(), &[1, 1, 1, 2]);
     assert_eq!(small.output.as_slice(), &[2.0, 2.0]);
     assert_eq!(large.batch_samples, 1);

@@ -54,7 +54,6 @@ fn batches_stay_full_as_workers_are_added() {
                 // waiting for requests another worker had taken.
                 max_wait: Duration::from_millis(100),
                 adaptive_wait: false,
-                ..BatchPolicy::default()
             },
             ..ServeConfig::default()
         };
