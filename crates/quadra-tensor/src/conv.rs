@@ -5,20 +5,26 @@
 //! implemented so the layer crates can use closed-form ("symbolic") gradients —
 //! the ingredient the paper's hybrid back-propagation scheme relies on.
 //!
-//! Every direction works one sample at a time, inside one parallel region
-//! decided by the crate's fork rule ([`crate::fork`]):
+//! The forward and the input gradient work one sample at a time, inside one
+//! parallel region decided by the crate's fork rule ([`crate::fork`]):
 //!
 //! * **generic** — the sample is lowered into a per-thread column buffer
 //!   `[c·kh·kw, oh·ow]` with contiguous row copies ([`Geom::lower`]), multiplied
 //!   per group by the blocked GEMM, and (backward) scattered back with row adds
-//!   ([`Geom::scatter`]). The batch-wide column tensor never exists. The
-//!   forward and input-gradient products read each weight packed once per
+//!   ([`Geom::scatter`]). The products read each weight packed once per
 //!   call, before the region forks ([`Geom::pack_weights`]); every sample
 //!   shares it read-only.
 //! * **1×1 / stride 1 / pad 0** — the image *is* its column form, so it feeds
 //!   the GEMM directly in all three directions.
 //! * **depth-wise** (`groups == in_c == out_c`) — a direct stencil; a
 //!   `1 × k² × oh·ow` product per channel is not worth lowering for.
+//!
+//! The weight gradient is one product per call over the stacked branches
+//! (see [`backward_weight`]): each sample's `colᵀ` is packed once and serves
+//! every branch. When the call splits by output rows, the batch's packed
+//! columns exist for that one call, and each row range folds through one
+//! range-sized partial; small stacked operands split by sample batches
+//! instead. Either way the summation order is fixed by shape alone.
 //!
 //! The `*_multi` entry points run several weight branches over **one** lowering
 //! of the input — what a quadratic layer's `conv(X,Wa) ∘ conv(X,Wb) + conv(X,Wc)`
@@ -32,14 +38,15 @@
 
 use crate::error::{Result, TensorError};
 use crate::fork::{for_each_range, with_scratch, Scratch};
-use crate::gemm::{gemm_nt_into, gemm_packed_into, PackedA};
+use crate::gemm::{gemm_packed_into, gemm_rows_into, pack_bt, packed_b_len, Bt, PackedA, MR};
 use crate::tensor::Tensor;
 use std::cell::Cell;
 use std::ops::Range;
 
 thread_local! {
-    /// One sample's column form (or column gradient), reused across samples,
-    /// layers and calls on this thread.
+    /// One sample's column form (or column gradient), or one row range's
+    /// weight-gradient partial, reused across samples, layers and calls on
+    /// this thread.
     static COL_SCRATCH: Scratch = const { Cell::new(Vec::new()) };
 }
 
@@ -346,12 +353,12 @@ impl Geom {
         });
     }
 
-    /// Depth-wise weight gradient: `gw[ch][tap] += <grad_out[ch], shifted(img[ch])>`.
-    fn stencil_backward_weight(&self, gw: &mut [f32], grad_out: &[f32], img: &[f32]) {
-        let (hw, cols, kk) = (self.h * self.w, self.cols(), self.kh * self.kw);
+    /// Depth-wise weight gradient: `gw[ch·pitch + tap] += <grad_out[ch], shifted(img[ch])>`.
+    fn stencil_backward_weight(&self, gw: &mut [f32], pitch: usize, grad_out: &[f32], img: &[f32]) {
+        let (hw, cols) = (self.h * self.w, self.cols());
         self.for_each_tap_row(|ch, tap, seg, start| {
             let src = img[ch * hw + start..(ch + 1) * hw].iter().step_by(self.stride);
-            gw[ch * kk + tap.index] +=
+            gw[ch * pitch + tap.index] +=
                 grad_out[ch * cols..][seg].iter().zip(src).map(|(g, x)| g * x).sum::<f32>();
         });
     }
@@ -473,23 +480,92 @@ impl Geom {
         });
     }
 
-    /// Weight gradients of sample `ni`, accumulated onto `gws` (one
-    /// `weight_len` block per branch): one lowering, then each branch's
-    /// `gw_b += grad_out_b · colᵀ`.
-    fn backward_weight_sample(&self, gws: &mut [f32], grad_outs: &[&[f32]], ni: usize, img: &[f32]) {
-        let per = self.weight_len();
+    /// Row `r` of group `gi`'s stacked weight-gradient operand for sample
+    /// `ni`: rows `b·oc_g..(b+1)·oc_g` are branch `b`'s output-gradient rows
+    /// of the group, `cols` floats each.
+    fn stacked_row<'a>(&self, grad_outs: &[&'a [f32]], ni: usize, gi: usize, r: usize) -> &'a [f32] {
+        let (oc_g, cols) = (self.oc / self.groups, self.cols());
+        let (b, rr) = (r / oc_g, r % oc_g);
+        &grad_outs[b][ni * self.out_len() + (gi * oc_g + rr) * cols..][..cols]
+    }
+
+    /// Add sample `ni`'s weight-gradient products to the stacked rows
+    /// `rows` (see [`backward_weight`]), held in `dst` as `rows.len()` rows of
+    /// `col_rows/groups` floats: per group, `dst_g += A_g · colᵀ_g`, with
+    /// `A_g` the group's stacked output-gradient rows. `packed` holds every
+    /// sample's `colᵀ` as [`pack_bt`] packs it, `groups` operands per sample;
+    /// empty, the sample is lowered here and its `colᵀ` packed a panel at a
+    /// time by the product. A depth-wise stencil takes every row at once and
+    /// packs nothing.
+    fn accumulate_weight_grad(
+        &self,
+        dst: &mut [f32],
+        rows: Range<usize>,
+        grad_outs: &[&[f32]],
+        ni: usize,
+        img: &[f32],
+        packed: &[f32],
+    ) {
+        let branches = grad_outs.len();
         if self.is_depthwise() {
-            for (gw, go) in gws.chunks_exact_mut(per).zip(self.sample(grad_outs, ni)) {
-                self.stencil_backward_weight(gw, go, img);
+            let kk = self.kh * self.kw;
+            for (b, go) in self.sample(grad_outs, ni).enumerate() {
+                self.stencil_backward_weight(&mut dst[b * kk..], branches * kk, go, img);
             }
             return;
         }
-        let (m, k, n) = (self.oc / self.groups, self.cols(), self.col_rows() / self.groups);
-        self.with_cols(img, |col| {
-            for (gw, go) in gws.chunks_exact_mut(per).zip(self.sample(grad_outs, ni)) {
-                self.for_each_group(|_, og, wg, cg| gemm_nt_into(&mut gw[wg], &go[og], &col[cg], m, k, n));
+        let (k, width, stacked) =
+            (self.cols(), self.col_rows() / self.groups, branches * self.oc / self.groups);
+        let product = |dst: &mut [f32], gi: usize, b: Bt<'_>| {
+            // This group's share of `rows`, and where it sits in `dst`.
+            let run = rows.start.max(gi * stacked)..rows.end.min((gi + 1) * stacked);
+            let dst = &mut dst[(run.start - rows.start) * width..];
+            let first = run.start - gi * stacked;
+            gemm_rows_into(dst, run.len(), |i| self.stacked_row(grad_outs, ni, gi, first + i), b, k, width);
+        };
+        let groups = rows.start / stacked..rows.end.div_ceil(stacked);
+        if packed.is_empty() {
+            self.with_cols(img, |col| {
+                self.for_each_group(|gi, _, _, cg| {
+                    if groups.contains(&gi) {
+                        product(dst, gi, Bt::Stored(&col[cg]));
+                    }
+                });
+            });
+        } else {
+            let len = packed_b_len(k, width);
+            for gi in groups {
+                product(dst, gi, Bt::Packed(&packed[(ni * self.groups + gi) * len..][..len]));
             }
-        });
+        }
+    }
+
+    /// Every output row of the stacked weight gradient, in stacked order:
+    /// per group, each branch's `oc/groups` rows of `outs[b]`.
+    fn stacked_rows<'a>(&self, outs: &'a mut [Vec<f32>]) -> Vec<&'a mut [f32]> {
+        let (width, oc_g) = (self.col_rows() / self.groups, self.oc / self.groups);
+        let mut branches: Vec<_> = outs.iter_mut().map(|out| out.chunks_exact_mut(width)).collect();
+        let mut rows = Vec::with_capacity(self.groups * oc_g * branches.len());
+        for _ in 0..self.groups {
+            for branch in &mut branches {
+                rows.extend(branch.by_ref().take(oc_g));
+            }
+        }
+        rows
+    }
+}
+
+/// Fold one sample batch's partial (stacked rows back to back) into `rows`
+/// of the output: copied for the first batch, added after.
+fn fold_rows(rows: &mut [&mut [f32]], partial: &[f32], width: usize, first: bool) {
+    for (row, part) in rows.iter_mut().zip(partial.chunks_exact(width)) {
+        if first {
+            row.copy_from_slice(part);
+        } else {
+            for (a, v) in row.iter_mut().zip(part) {
+                *a += v;
+            }
+        }
     }
 }
 
@@ -678,38 +754,85 @@ fn backward_weight(
         });
     }
     let (gos, src, per) = (slices(grad_outs), input.as_slice(), g.weight_len());
-    if per == 0 || g.cols() == 0 {
+    if n == 0 || per == 0 || g.cols() == 0 {
         return grad_outs.iter().map(|_| Tensor::from_vec(vec![0.0f32; per], weight_shape)).collect();
     }
 
-    // Reduce over a fixed number of sample batches: each batch folds its
-    // samples into one gradient buffer via the accumulating nt kernel
-    // (gw += grad_out · colᵀ, transpose-free), bounding peak extra memory at
-    // `batches × branches × weight` instead of one gradient per sample. The
-    // batch count is a constant — not the host core count — so the float
-    // summation order (and therefore seeded training) is reproducible across
-    // machines and pool sizes; the fork rule only decides which thread folds
-    // which batches.
+    // One product per call over the stacked branches: per group, the rows
+    // of every branch's weight gradient form one `branches·oc/groups`-row
+    // operand, so each sample's `colᵀ` is packed once for all of them.
+    //
+    // The summation order is fixed by shape alone, never by the pool: the
+    // samples fall into `WEIGHT_REDUCE_BATCHES` contiguous batches; within a
+    // batch, each sample's per-`KC`-panel accumulators (zero-started FMA
+    // chains) add into the batch's partial in sample order; the partials
+    // fold into the result in batch order. So seeded training is
+    // reproducible across machines and pool sizes. The constant sizes no
+    // buffer. The fork rule only decides which thread computes what, along
+    // one of two splits, whichever keeps the smaller transient:
+    //
+    // * by output rows: every sample's packed `colᵀ` for the whole call
+    //   (`n × column` floats), and per row range one range-sized partial,
+    //   folded into the output after each batch;
+    // * by sample batches: one partial per batch (`batches × unit` floats),
+    //   each sample lowered where it is used and its `colᵀ` packed a panel
+    //   at a time by the product, the partials folded after the region. Few
+    //   stacked rows against many output positions take this one — the
+    //   training CNN's first stages — where a range of one or two `MR`
+    //   strips would stream the whole call's packed columns out of cache for
+    //   little arithmetic.
     const WEIGHT_REDUCE_BATCHES: usize = 8;
-    let batches = WEIGHT_REDUCE_BATCHES.min(n.max(1));
+    let batches = WEIGHT_REDUCE_BATCHES.min(n);
     let fold = n.div_ceil(batches);
-    let unit = grad_outs.len() * per;
-    let mut partials = vec![0.0f32; batches * unit];
-    for_each_range(&mut partials, unit, n * grad_outs.len() * g.macs(), |first, range| {
-        for (bi, gws) in (first..).zip(range.chunks_exact_mut(unit)) {
-            for ni in bi * fold..((bi + 1) * fold).min(n) {
-                let img = &src[ni * g.in_len()..(ni + 1) * g.in_len()];
-                g.backward_weight_sample(gws, &gos, ni, img);
+    let batch = |bi: usize| bi * fold..((bi + 1) * fold).min(n);
+    let img = |ni: usize| &src[ni * g.in_len()..(ni + 1) * g.in_len()];
+    let (branches, width) = (gos.len(), g.col_rows() / g.groups);
+    let (unit, column) = (branches * per, g.groups * packed_b_len(g.cols(), width));
+    let by_batch = g.is_depthwise() || batches * unit <= n * column;
+    let macs = n * branches * g.macs();
+    // The transient before the outputs, as in `forward` (see `pack_weights`).
+    let mut transient = vec![0.0f32; if by_batch { batches * unit } else { n * column }];
+    let mut outs: Vec<Vec<f32>> = (0..branches).map(|_| vec![0.0f32; per]).collect();
+    let mut rows = g.stacked_rows(&mut outs);
+    let all = 0..rows.len();
+    if by_batch {
+        for_each_range(&mut transient, unit, macs, |first, range| {
+            for (bi, partial) in (first..).zip(range.chunks_exact_mut(unit)) {
+                for ni in batch(bi) {
+                    g.accumulate_weight_grad(partial, all.clone(), &gos, ni, img(ni), &[]);
+                }
             }
+        });
+        for (bi, partial) in transient.chunks_exact(unit).enumerate() {
+            fold_rows(&mut rows, partial, width, bi == 0);
         }
-    });
-    let (acc, rest) = partials.split_at_mut(unit);
-    for partial in rest.chunks_exact(unit) {
-        for (a, v) in acc.iter_mut().zip(partial) {
-            *a += v;
-        }
+    } else {
+        for_each_range(&mut transient, column, macs, |first, range| {
+            for (ni, dst) in (first..).zip(range.chunks_exact_mut(column)) {
+                let len = packed_b_len(g.cols(), width);
+                g.with_cols(img(ni), |col| {
+                    g.for_each_group(|gi, _, _, cg| {
+                        pack_bt(&mut dst[gi * len..][..len], &col[cg], g.cols(), width)
+                    });
+                });
+            }
+        });
+        let packed = &transient[..];
+        for_each_range(&mut rows, MR, macs, |strip, range| {
+            let ours = strip * MR..strip * MR + range.len();
+            with_scratch(&COL_SCRATCH, range.len() * width, |partial| {
+                for bi in 0..batches {
+                    partial.fill(0.0);
+                    for ni in batch(bi) {
+                        g.accumulate_weight_grad(partial, ours.clone(), &gos, ni, img(ni), packed);
+                    }
+                    fold_rows(range, partial, width, bi == 0);
+                }
+            });
+        });
     }
-    acc.chunks_exact(per).map(|gw| Tensor::from_vec(gw.to_vec(), weight_shape)).collect()
+    drop(rows);
+    outs.into_iter().map(|gw| Tensor::from_vec(gw, weight_shape)).collect()
 }
 
 impl Tensor {
@@ -802,7 +925,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gemm_blocked, gemm_tn_into};
+    use crate::gemm::{gemm_blocked, gemm_tn, KC};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1005,6 +1128,13 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)
+    }
+
+    fn assert_bitwise(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} index {i}: {x} vs {y}");
+        }
     }
 
     #[test]
@@ -1314,7 +1444,9 @@ mod tests {
     /// Per-sample reference built from public calls: `(forward of every
     /// branch, summed input gradient)` with each weight's products run
     /// sample by sample — `im2col` + `gemm_blocked` forward; one zeroed
-    /// column gradient, `gemm_tn_into` per branch in branch order, `col2im`.
+    /// column gradient, each branch's `gemm_tn` added in branch order (with
+    /// `oc/groups ≤ KC`, one `k`-panel: the accumulating product's sum),
+    /// `col2im`.
     fn per_sample_reference(
         x: &Tensor,
         ws: &[Tensor],
@@ -1342,7 +1474,10 @@ mod tests {
                 for gi in 0..p.groups {
                     let wg = &w.as_slice()[gi * w_g..(gi + 1) * w_g];
                     let go = &g.as_slice()[i * out_len + gi * m * cols..];
-                    gemm_tn_into(&mut grad_col[gi * rows * cols..], wg, go, rows, m, cols);
+                    let product = gemm_tn(wg, go, rows, m, cols);
+                    for (acc, v) in grad_col[gi * rows * cols..].iter_mut().zip(product) {
+                        *acc += v;
+                    }
                 }
             }
             let grad_col = Tensor::from_vec(grad_col, col.shape()).unwrap();
@@ -1389,6 +1524,89 @@ mod tests {
                 }
                 let what = format!("geometry {i} input grad, {threads} threads");
                 assert_eq!(bits(grad.as_slice()), bits(&want_grad), "{what}");
+            }
+        }
+    }
+
+    /// The weight gradient's summation order, written as scalars: the
+    /// samples fall into `min(8, n)` contiguous batches; per sample and per
+    /// `KC` panel of output positions, each weight element starts a zero
+    /// accumulator, takes one fused multiply-add per position in order, and
+    /// is then added into its batch's partial; the partials fold in batch
+    /// order. One gradient per output-gradient tensor of `gs`.
+    fn weight_grad_reference(x: &Tensor, gs: &[Tensor], k: usize, p: Conv2dParams) -> Vec<Vec<f32>> {
+        let col = im2col(x, k, k, p).unwrap();
+        let (n, rows, positions) = (col.shape()[0], col.shape()[1], col.shape()[2]);
+        let (col, oc) = (col.as_slice(), gs[0].shape()[1]);
+        let (width, oc_g) = (rows / p.groups, oc / p.groups);
+        let (batches, fold) = (8.min(n), n.div_ceil(8.min(n)));
+        let grad = |go: &[f32]| {
+            let mut partials = vec![vec![0.0f32; oc * width]; batches];
+            for (bi, partial) in partials.iter_mut().enumerate() {
+                for ni in bi * fold..((bi + 1) * fold).min(n) {
+                    for (o, j) in (0..oc).flat_map(|o| (0..width).map(move |j| (o, j))) {
+                        let a = &go[(ni * oc + o) * positions..][..positions];
+                        let b = &col[(ni * rows + o / oc_g * width + j) * positions..][..positions];
+                        for pc in (0..positions).step_by(KC) {
+                            let mut acc = 0.0f32;
+                            for q in pc..positions.min(pc + KC) {
+                                acc = a[q].mul_add(b[q], acc);
+                            }
+                            partial[o * width + j] += acc;
+                        }
+                    }
+                }
+            }
+            let (first, rest) = partials.split_first_mut().unwrap();
+            for partial in rest {
+                first.iter_mut().zip(partial.iter()).for_each(|(a, v)| *a += v);
+            }
+            partials.swap_remove(0)
+        };
+        gs.iter().map(|g| grad(g.as_slice())).collect()
+    }
+
+    #[test]
+    fn weight_grad_is_bitwise_the_fixed_summation_order() {
+        // Every branch count, batch size and pool size must give exactly the
+        // scalar order above: a change of partition, fold order or FMA chain
+        // breaks it even where pools agree with each other. (c, (h, w), oc,
+        // k, stride, pad, groups); which operand is split how follows from
+        // the shape, so both splits and both fork decisions are covered.
+        for (i, &(c, hw, oc, k, stride, pad, groups)) in [
+            (16, (16, 16), 32, 3, 1, 1, 1), // training stage 2: split by batches, forks
+            (64, (4, 4), 128, 3, 1, 1, 1),  // training stage 4: split by rows, forks
+            (32, (6, 6), 88, 3, 1, 1, 2),   // grouped, by rows: strips cross groups
+            (8, (9, 7), 12, 3, 1, 1, 2),    // grouped, by batches
+            (12, (8, 8), 20, 1, 1, 0, 1),   // 1×1: the image is its column form
+            (8, (2, 2), 64, 1, 1, 0, 1),    // 1×1, by rows
+            (6, (11, 9), 10, 3, 2, 1, 1),   // stride 2
+        ]
+        .iter()
+        .enumerate()
+        {
+            let p = Conv2dParams::new(stride, pad, groups);
+            let wshape = [oc, c / groups, k, k];
+            for n in [1, 5, 16, 17] {
+                let mut r = StdRng::seed_from_u64(500 + 10 * i as u64 + n as u64);
+                let x = Tensor::randn(&[n, c, hw.0, hw.1], 0.0, 1.0, &mut r);
+                let (oh, ow) = (p.out_size(hw.0, k), p.out_size(hw.1, k));
+                let gs: Vec<Tensor> =
+                    (0..3).map(|_| Tensor::randn(&[n, oc, oh, ow], 0.0, 1.0, &mut r)).collect();
+                let want = weight_grad_reference(&x, &gs, k, p);
+                for threads in [1, 2, 4] {
+                    rayon::ThreadPool::new(threads).install(|| {
+                        for branches in 1..=3 {
+                            let refs: Vec<&Tensor> = gs[..branches].iter().collect();
+                            let got = Tensor::conv2d_backward_weight_multi(&refs, &x, &wshape, p).unwrap();
+                            for (b, (got, want)) in got.iter().zip(&want).enumerate() {
+                                let what =
+                                    format!("geometry {i} n {n} branch {b}/{branches}, {threads} threads");
+                                assert_bitwise(got.as_slice(), want, &what);
+                            }
+                        }
+                    });
+                }
             }
         }
     }

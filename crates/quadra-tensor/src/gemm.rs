@@ -15,7 +15,11 @@
 //!   micro-kernel walks `NR` columns down the row stride. Only a partial last
 //!   column block is copied, into a zero-padded `[kc][NR]` panel, so the
 //!   kernel never reads past the operand and never branches on tile size. A
-//!   stored-transposed `B` (`gemm_nt`) is packed whole into `[kc][NR]` panels,
+//!   stored-transposed `B` (`gemm_nt`) is packed into `[kc][NR]` panels, one
+//!   `k`-panel at a time. A convolution's weight gradient multiplies every
+//!   branch's stacked output-gradient rows by one sample's `colᵀ`
+//!   (`gemm_rows_into`), packed that way or, when many row ranges share it,
+//!   packed whole once per call (`pack_bt`),
 //! * an `MR×NR` micro-kernel keeps a `[[f32; NR]; MR]` accumulator block in
 //!   registers: per `k` step it loads one `NR`-wide row of `B`, broadcasts
 //!   `MR` values of `A`, and updates every accumulator with `f32::mul_add`.
@@ -25,12 +29,13 @@
 //!
 //! Every tile sees the same arithmetic — accumulators start at zero, take one
 //! fused multiply-add per `k` in panel order, and are then added into `C` — so
-//! neither the `B` layout (in place or packed), nor how many products share
-//! one packed `A`, nor the fork changes a bit of the result. Every product
-//! takes this one kernel, however small: with a size cut to a second kernel,
-//! a linear layer (whose `m` is the batch) would sum a batch's rows in
-//! another order than its batch-1 forwards. Below ~16³ multiply-adds the
-//! packing costs ~0.1–0.5 µs more than a triple loop would.
+//! neither the `B` layout (in place or packed), nor how many products share one
+//! packed operand, nor which rows are stacked into one `A`, nor the fork
+//! changes a bit of the result. Every product takes this one kernel, however
+//! small: with a size cut to a second kernel, a linear layer (whose `m` is the
+//! batch) would sum a batch's rows in another order than its batch-1 forwards.
+//! Below ~16³ multiply-adds the packing costs ~0.1–0.5 µs more than a triple
+//! loop would.
 //!
 //! Transposed operands are handled by the packing step (the micro-panels are
 //! read with swapped strides), so `gemm_nt` / `gemm_tn` never materialise a
@@ -63,7 +68,7 @@ pub const MR: usize = 8;
 /// Micro-kernel tile width (columns of `C` accumulated in registers).
 pub const NR: usize = 16;
 /// `k`-panel depth: one packed `B` panel holds at most `KC * n` floats.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// A strided read-only view of a row-major operand: element `(i, j)` of the
 /// *logical* (post-transpose) matrix lives at `data[i * rs + j * cs]`. Every
 /// view has `rs == 1` (stored transposed) or `cs == 1` (plain row-major).
@@ -105,10 +110,12 @@ fn pack_b(bpack: &mut [f32], b: View<'_>, pc: usize, kc: usize, cols: Range<usiz
 /// Pack the logical `A[m×k]` whole into `apack` (`packed_len(m, k)` floats):
 /// `k`-panel `pc` starts at `pc * m.div_ceil(MR) * MR` and holds the
 /// `[kc][MR]` micro-panels (column-major inside each panel) of every
-/// `MR`-row block in order, the last block zero-padded. Specialised like
-/// [`pack_b`] for the contiguous-row / contiguous-column layouts.
+/// `MR`-row block in order, the last block zero-padded. `line(i)` is line
+/// `i` of `A` as stored: row `i` (`k` floats), or with `transposed`, row `i`
+/// of the stored `Aᵀ` (`m` floats). Specialised like [`pack_b`] for the two
+/// layouts.
 // quadra-analyze: allow(panic_path:indexing, panel extents are derived from m, k and KC exactly as packed_len sized apack; checked indexing in the pack loop costs ~15% of total GEMM time)
-fn pack_a(apack: &mut [f32], a: View<'_>, m: usize, k: usize) {
+fn pack_a<'a>(apack: &mut [f32], m: usize, k: usize, transposed: bool, line: impl Fn(usize) -> &'a [f32]) {
     let rows = m.div_ceil(MR) * MR;
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
@@ -118,15 +125,13 @@ fn pack_a(apack: &mut [f32], a: View<'_>, m: usize, k: usize) {
             if mr < MR {
                 panel.fill(0.0);
             }
-            if a.rs == 1 {
+            if transposed {
                 for p in 0..kc {
-                    let src = &a.data[(pc + p) * a.cs + r0..][..mr];
-                    panel[p * MR..p * MR + mr].copy_from_slice(src);
+                    panel[p * MR..p * MR + mr].copy_from_slice(&line(pc + p)[r0..r0 + mr]);
                 }
             } else {
                 for ii in 0..mr {
-                    let src = &a.data[(r0 + ii) * a.rs + pc..][..kc];
-                    for (p, &v) in src.iter().enumerate() {
+                    for (p, &v) in line(r0 + ii)[pc..pc + kc].iter().enumerate() {
                         panel[p * MR + ii] = v;
                     }
                 }
@@ -158,23 +163,101 @@ impl PackedA {
     /// stored row-major `[k, m]`. `pack_a` writes every slot, so stale
     /// contents are fine.
     pub(crate) fn pack(&mut self, a: &[f32], m: usize, k: usize, transposed: bool) {
-        let view = if transposed { view_tn_a(a, m, k) } else { view_nn_a(a, m, k) };
+        assert!(a.len() >= m * k, "PackedA::pack: operand shorter than {m}×{k}");
+        let len = if transposed { m } else { k };
+        self.pack_lines(m, k, transposed, |i| a.get(i * len..(i + 1) * len).unwrap_or_default());
+    }
+
+    /// [`PackedA::pack`] from `A`'s stored lines, wherever each one lives
+    /// (see [`pack_a`]).
+    fn pack_lines<'a>(&mut self, m: usize, k: usize, transposed: bool, line: impl Fn(usize) -> &'a [f32]) {
         self.data.resize(packed_len(m, k), 0.0);
-        pack_a(&mut self.data, view, m, k);
+        pack_a(&mut self.data, m, k, transposed, line);
         (self.m, self.k) = (m, k);
     }
 }
 
-/// Run `f` on `a` packed into this thread's reusable [`PackedA`].
+/// Run `f` on this thread's reusable [`PackedA`] after `pack` refilled it.
 ///
 /// Like [`with_scratch`], the operand is taken out of the cell while `f`
 /// runs, so a re-entrant call on this thread packs into a fresh one.
-fn with_packed_a<R>(a: &[f32], m: usize, k: usize, transposed: bool, f: impl FnOnce(&PackedA) -> R) -> R {
+fn with_packed_a<R>(pack: impl FnOnce(&mut PackedA), f: impl FnOnce(&PackedA) -> R) -> R {
     let mut packed = A_SCRATCH.with(Cell::take);
-    packed.pack(a, m, k, transposed);
+    pack(&mut packed);
     let out = f(&packed);
     A_SCRATCH.with(|cell| cell.set(packed));
     out
+}
+
+/// Floats of a `B[k×n]` packed whole by [`pack_bt`]: every `NR`-column
+/// block, zero-padded.
+pub(crate) fn packed_b_len(k: usize, n: usize) -> usize {
+    k * n.div_ceil(NR) * NR
+}
+
+/// Pack the `B[k×n]` whose transpose `bt` is stored row-major `[n, k]` whole
+/// into `dst` (`packed_b_len(k, n)` floats): `k`-panel `pc` starts at
+/// `pc * n.div_ceil(NR) * NR` and holds the `[kc][NR]` panels that
+/// [`gemm_packed`] packs one `k`-panel at a time. Packed once, it serves
+/// every product [`gemm_rows_into`] runs against it.
+pub(crate) fn pack_bt(dst: &mut [f32], bt: &[f32], k: usize, n: usize) {
+    assert_eq!(dst.len(), packed_b_len(k, n), "pack_bt: destination is not one packed operand");
+    if n == 0 {
+        return;
+    }
+    let panels = dst.chunks_mut(KC * n.div_ceil(NR) * NR);
+    for (panel, pc) in panels.zip((0..k).step_by(KC)) {
+        pack_b(panel, view_nt_b(bt, k, n), pc, KC.min(k - pc), 0..n);
+    }
+}
+
+/// The `B[k×n]` a stacked product reads, given by its transpose.
+#[derive(Clone, Copy)]
+pub(crate) enum Bt<'a> {
+    /// `Bᵀ` stored row-major `[n, k]`, packed one `k`-panel at a time while
+    /// the product runs, as [`gemm_nt`] packs it.
+    Stored(&'a [f32]),
+    /// `B` packed whole by [`pack_bt`], shared by many products.
+    Packed(&'a [f32]),
+}
+
+/// Accumulate `A · B` into `c[m×n]` in place, where `row(i)` is row `i` of
+/// `A[m×k]`. The rows may come from different buffers (a stacked operand);
+/// they are packed into this thread's `A` scratch. Every element takes the
+/// same per-`k`-panel fused multiply-add chain as through any other entry
+/// point, so the product is bitwise theirs, whichever form `b` takes.
+/// Never forks.
+pub(crate) fn gemm_rows_into<'a>(
+    c: &mut [f32],
+    m: usize,
+    row: impl Fn(usize) -> &'a [f32],
+    b: Bt<'_>,
+    k: usize,
+    n: usize,
+) {
+    assert!(c.len() >= m * n, "gemm_rows_into: output buffer too small");
+    if let Bt::Packed(b) = b {
+        assert_eq!(b.len(), packed_b_len(k, n), "gemm_rows_into: B is not one packed operand");
+    }
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let (rows, width) = (m.div_ceil(MR) * MR, n.div_ceil(NR) * NR);
+    with_packed_a(
+        |a| a.pack_lines(m, k, false, row),
+        |a| match b {
+            Bt::Stored(bt) => gemm_packed(c, a, view_nt_b(bt, k, n), n, false),
+            Bt::Packed(b) => {
+                // `k`-panel `pc` of each operand, panel by panel.
+                let panels = b.chunks(KC * width).zip(a.data.chunks(KC * rows));
+                for ((data, apanels), pc) in panels.zip((0..k).step_by(KC)) {
+                    let kc = KC.min(k - pc);
+                    let bpanel = BPanel { data, ld: NR, step: kc * NR, full: usize::MAX, edge: &[] };
+                    block_rows(c, n, kc, m, apanels, bpanel);
+                }
+            }
+        },
+    );
 }
 
 /// One `k`-panel of the logical `B` as the micro-kernel reads it. Column
@@ -332,19 +415,6 @@ fn gemm_packed(c: &mut [f32], a: &PackedA, b: View<'_>, n: usize, fork: bool) {
 
 #[inline]
 // quadra-analyze: allow(panic_path:indexing, the slice is the operand-length contract: a shorter input must fail loudly here, not corrupt the kernel)
-fn view_nn_a(a: &[f32], m: usize, k: usize) -> View<'_> {
-    View { data: &a[..m * k], rs: k, cs: 1 }
-}
-
-#[inline]
-// quadra-analyze: allow(panic_path:indexing, the slice is the operand-length contract: a shorter input must fail loudly here, not corrupt the kernel)
-fn view_tn_a(a: &[f32], m: usize, k: usize) -> View<'_> {
-    // stored [k, m], read as the logical m×k transpose
-    View { data: &a[..k * m], rs: 1, cs: m }
-}
-
-#[inline]
-// quadra-analyze: allow(panic_path:indexing, the slice is the operand-length contract: a shorter input must fail loudly here, not corrupt the kernel)
 fn view_nn_b(b: &[f32], k: usize, n: usize) -> View<'_> {
     View { data: &b[..k * n], rs: n, cs: 1 }
 }
@@ -359,51 +429,37 @@ fn view_nt_b(b: &[f32], k: usize, n: usize) -> View<'_> {
 /// `C[m×n] = A[m×k] · B[k×n]`, blocked and (for large products) row-parallel.
 pub fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
-    with_packed_a(a, m, k, false, |a| gemm_packed(&mut c, a, view_nn_b(b, k, n), n, true));
+    with_packed_a(|p| p.pack(a, m, k, false), |a| gemm_packed(&mut c, a, view_nn_b(b, k, n), n, true));
     c
 }
 
 /// `C[m×n] = A[m×k] · Bᵀ` where `b` is stored row-major as `[n, k]`.
 pub fn gemm_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
-    with_packed_a(a, m, k, false, |a| gemm_packed(&mut c, a, view_nt_b(b, k, n), n, true));
+    with_packed_a(|p| p.pack(a, m, k, false), |a| gemm_packed(&mut c, a, view_nt_b(b, k, n), n, true));
     c
 }
 
 /// `C[m×n] = Aᵀ · B[k×n]` where `a` is stored row-major as `[k, m]`.
 pub fn gemm_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
-    with_packed_a(a, m, k, true, |a| gemm_packed(&mut c, a, view_nn_b(b, k, n), n, true));
+    with_packed_a(|p| p.pack(a, m, k, true), |a| gemm_packed(&mut c, a, view_nn_b(b, k, n), n, true));
     c
 }
 
 /// Accumulate `A[m×k] · B[k×n]` into `c[m×n]` in place.
 ///
-/// The `*_into` variants never fork: their callers (per-sample conv passes,
-/// per-batch `bmm`) own the parallel region and decide it once, through the
-/// crate's fork rule. They *accumulate*, so `c` must be pre-zeroed for a plain
-/// product and repeated calls sum naturally (used by the conv weight reduce
-/// and the shared column gradient of multi-branch convolutions).
+/// Never forks: its caller (the per-batch `bmm`) owns the parallel region and
+/// decides it once, through the crate's fork rule. It *accumulates*, so `c`
+/// must be pre-zeroed for a plain product and repeated calls sum naturally.
 pub fn gemm_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert!(c.len() >= m * n, "gemm_into: output buffer too small");
-    with_packed_a(a, m, k, false, |a| gemm_packed(c, a, view_nn_b(b, k, n), n, false));
-}
-
-/// Accumulate `A[m×k] · Bᵀ` (with `b` stored `[n, k]`) into `c[m×n]` in place.
-pub fn gemm_nt_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    assert!(c.len() >= m * n, "gemm_nt_into: output buffer too small");
-    with_packed_a(a, m, k, false, |a| gemm_packed(c, a, view_nt_b(b, k, n), n, false));
-}
-
-/// Accumulate `Aᵀ · B[k×n]` (with `a` stored `[k, m]`) into `c[m×n]` in place.
-pub fn gemm_tn_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    assert!(c.len() >= m * n, "gemm_tn_into: output buffer too small");
-    with_packed_a(a, m, k, true, |a| gemm_packed(c, a, view_nn_b(b, k, n), n, false));
+    with_packed_a(|p| p.pack(a, m, k, false), |a| gemm_packed(c, a, view_nn_b(b, k, n), n, false));
 }
 
 /// Accumulate `a · B[k×n]` into `c[m×n]` in place, `(m, k)` being the packed
-/// operand's: the [`gemm_into`] / [`gemm_tn_into`] product without the
-/// packing, for a caller that multiplies one `A` by many `B`s. Never forks.
+/// operand's: the [`gemm_into`] product without the packing, for a caller
+/// that multiplies one `A` by many `B`s. Never forks.
 pub(crate) fn gemm_packed_into(c: &mut [f32], a: &PackedA, b: &[f32], n: usize) {
     assert!(c.len() >= a.m * n, "gemm_packed_into: output buffer too small");
     gemm_packed(c, a, view_nn_b(b, a.k, n), n, false);
@@ -504,15 +560,11 @@ mod tests {
             let bt = randvec(n * k, 8); // stored [n, k]
             let b = transpose(&bt, n, k); // [k, n]
             assert_close(&gemm_nt(&a, &bt, m, k, n), &gemm_naive(&a, &b, m, k, n), 1e-3);
-            let nt_into = zeroed(m, n, |c| gemm_nt_into(c, &a, &bt, m, k, n));
-            assert_close(&nt_into, &gemm_naive(&a, &b, m, k, n), 1e-3);
 
             let at = randvec(k * m, 9); // stored [k, m]
             let a2 = transpose(&at, k, m); // [m, k]
             let b2 = randvec(k * n, 10);
             assert_close(&gemm_tn(&at, &b2, m, k, n), &gemm_naive(&a2, &b2, m, k, n), 1e-3);
-            let tn_into = zeroed(m, n, |c| gemm_tn_into(c, &at, &b2, m, k, n));
-            assert_close(&tn_into, &gemm_naive(&a2, &b2, m, k, n), 1e-3);
         }
     }
 
@@ -578,9 +630,22 @@ mod tests {
         }
     }
 
+    /// `A · B` through [`gemm_rows_into`], `A` handed over row by row from
+    /// two separate buffers, as a stacked operand is; with `whole`, `B` is
+    /// packed whole once first.
+    fn rows_product(a: &[f32], bt: &[f32], m: usize, k: usize, n: usize, whole: bool) -> Vec<f32> {
+        let mut packed = vec![f32::NAN; packed_b_len(k, n)];
+        pack_bt(&mut packed, bt, k, n);
+        let b = if whole { Bt::Packed(&packed) } else { Bt::Stored(bt) };
+        let (head, tail) = a.split_at(m / 2 * k);
+        let row = |i: usize| if i < m / 2 { &head[i * k..][..k] } else { &tail[(i - m / 2) * k..][..k] };
+        zeroed(m, n, |c| gemm_rows_into(c, m, row, b, k, n))
+    }
+
     #[test]
     fn every_entry_point_and_b_layout_is_bitwise_the_fma_contract() {
-        // In-place `B` (gemm, gemm_tn) and packed `B` (gemm_nt) run the same
+        // In-place `B` (gemm, gemm_tn), `B` packed per panel (gemm_nt, and
+        // stacked rows) and `B` packed whole (stacked rows) run the same
         // micro-kernel over the same values, so every entry point agrees to
         // the bit with the scalar statement of the contract.
         for (m, k, n) in CONTRACT_SHAPES {
@@ -590,11 +655,13 @@ mod tests {
             let want = fma_reference(&a, &b, m, k, n);
             let shape = format!("({m},{k},{n})");
             assert_bitwise(&gemm_blocked(&a, &b, m, k, n), &want, &format!("in-place B {shape}"));
-            let packed_b = zeroed(m, n, |c| gemm_nt_into(c, &a, &bt, m, k, n));
-            assert_bitwise(&packed_b, &want, &format!("packed B {shape}"));
-            let transposed_a = zeroed(m, n, |c| gemm_tn_into(c, &at, &b, m, k, n));
-            assert_bitwise(&transposed_a, &want, &format!("transposed A {shape}"));
-            for (got, what) in [(gemm(&a, &b, m, k, n), "gemm"), (gemm_nt(&a, &bt, m, k, n), "gemm_nt")] {
+            for (got, what) in [
+                (gemm(&a, &b, m, k, n), "gemm"),
+                (gemm_nt(&a, &bt, m, k, n), "gemm_nt"),
+                (gemm_tn(&at, &b, m, k, n), "gemm_tn"),
+                (rows_product(&a, &bt, m, k, n, false), "stacked rows, B packed per panel"),
+                (rows_product(&a, &bt, m, k, n, true), "stacked rows, B packed whole"),
+            ] {
                 assert_bitwise(&got, &want, &format!("{what} {shape}"));
             }
         }
@@ -655,7 +722,9 @@ mod tests {
         b[2 * n + 3] = f32::INFINITY;
         b[n + 17] = f32::NAN;
         let bt = transpose(&b, k, n);
-        for c in [gemm_blocked(&a, &b, m, k, n), zeroed(m, n, |c| gemm_nt_into(c, &a, &bt, m, k, n))] {
+        for c in
+            [gemm_blocked(&a, &b, m, k, n), gemm_nt(&a, &bt, m, k, n), rows_product(&a, &bt, m, k, n, true)]
+        {
             for i in 0..m {
                 for j in 0..n {
                     let v = c[i * n + j];

@@ -5,7 +5,7 @@
 //! the in-place and packed `B` layouts on every pool size.
 
 use proptest::prelude::*;
-use quadra_tensor::gemm::{gemm, gemm_blocked, gemm_naive, gemm_nt, gemm_nt_into, gemm_tn, gemm_tn_into};
+use quadra_tensor::gemm::{gemm, gemm_blocked, gemm_naive, gemm_nt, gemm_tn};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -24,13 +24,6 @@ fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
         }
     }
     out
-}
-
-/// A `*_into` product on a zeroed `m×n` buffer: the plain product.
-fn zeroed(m: usize, n: usize, into: impl FnOnce(&mut [f32])) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    into(&mut c);
-    c
 }
 
 fn assert_close(fast: &[f32], slow: &[f32], tol: f32) {
@@ -63,7 +56,7 @@ proptest! {
         assert_close(&gemm(&a, &b, m, k, n), &slow, tol);
     }
 
-    /// `gemm_nt` ≡ transpose B then gemm, for both the returning and the accumulating entry point.
+    /// `gemm_nt` ≡ transpose B then gemm.
     #[test]
     fn nt_matches_transpose_then_gemm((m, k, n) in (dim(), dim(), dim()), seed in 0u64..1_000_000) {
         let a = randvec(m * k, seed.wrapping_add(1));
@@ -72,10 +65,9 @@ proptest! {
         let slow = gemm_naive(&a, &b, m, k, n);
         let tol = 1e-4 * (k.max(1) as f32);
         assert_close(&gemm_nt(&a, &bt, m, k, n), &slow, tol);
-        assert_close(&zeroed(m, n, |c| gemm_nt_into(c, &a, &bt, m, k, n)), &slow, tol);
     }
 
-    /// `gemm_tn` ≡ transpose A then gemm, for both the returning and the accumulating entry point.
+    /// `gemm_tn` ≡ transpose A then gemm.
     #[test]
     fn tn_matches_transpose_then_gemm((m, k, n) in (dim(), dim(), dim()), seed in 0u64..1_000_000) {
         let at = randvec(k * m, seed.wrapping_add(3)); // stored [k, m]
@@ -84,7 +76,6 @@ proptest! {
         let slow = gemm_naive(&a, &b, m, k, n);
         let tol = 1e-4 * (k.max(1) as f32);
         assert_close(&gemm_tn(&at, &b, m, k, n), &slow, tol);
-        assert_close(&zeroed(m, n, |c| gemm_tn_into(c, &at, &b, m, k, n)), &slow, tol);
     }
 }
 
