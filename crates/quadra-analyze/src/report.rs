@@ -1,6 +1,6 @@
 //! Finding and report types, plus the hand-written JSON serializer for
-//! `ANALYZE_report.json` (the vendored serde stand-in is deliberately not a
-//! dependency here — the analyzer must stay buildable in isolation). The
+//! `ANALYZE_report.json` (`quadra_nn::json` is deliberately not a dependency
+//! here — the analyzer must stay buildable in isolation). The
 //! analyzer only writes JSON; nothing in it reads the report back.
 
 use std::collections::BTreeMap;

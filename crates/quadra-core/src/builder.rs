@@ -17,10 +17,9 @@
 
 use crate::config::{advance_geometry, Geometry, LayerSpec, ModelConfig};
 use crate::neuron::NeuronType;
-use serde::{Deserialize, Serialize};
 
 /// Parameter / compute cost of one top-level configuration entry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpecCost {
     /// Trainable parameters of the entry (including quadratic branches and BN).
     pub params: usize,
@@ -29,7 +28,7 @@ pub struct SpecCost {
 }
 
 /// Importance score of a removable layer as computed by Eq. 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RiScore {
     /// Index of the entry in `ModelConfig::layers`.
     pub index: usize,

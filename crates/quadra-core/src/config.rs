@@ -4,22 +4,31 @@
 //! The paper's manual construction flow starts from a "structure configuration
 //! file" describing depth, width and layer types, which is then fed to a
 //! construction function that assembles the model as a layer sequence.
-//! [`ModelConfig`] is that configuration file (serialisable to JSON), and
-//! [`build_model`] is the construction function.
+//! [`ModelConfig`] is that configuration file, and [`build_model`] is the
+//! construction function.
+//!
+//! On disk a configuration is pretty-printed [`json`](quadra_nn::json): a
+//! struct is a plain object with its fields in declaration order, and a
+//! [`LayerSpec`] is externally tagged, `{"Conv": {...}}` for a variant with
+//! fields and `"GlobalAvgPool"` / `"Flatten"` for the two without. A
+//! [`NeuronType`] is its variant name. Sizes must be written as non-negative
+//! integers that fit `usize`; `Dropout.p` is written as the shortest decimal
+//! that parses back to the same `f32`, and must lie in `[0, 1)` when read, so
+//! NaN and the infinities are rejected.
 
 use crate::neuron::NeuronType;
 use crate::qconv::QuadraticConv2d;
 use crate::qlinear::QuadraticLinear;
+use quadra_nn::json::{self, Value};
 use quadra_nn::{
     AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool, Layer, Linear, MaxPool2d, Relu,
     Residual, Sequential,
 };
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// One entry of a model-structure configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LayerSpec {
     /// First-order convolution (+ optional batch-norm and ReLU).
     Conv {
@@ -141,10 +150,137 @@ impl LayerSpec {
     pub fn is_quadratic(&self) -> bool {
         matches!(self, LayerSpec::QuadraticConv { .. } | LayerSpec::QuadraticLinear { .. })
     }
+
+    fn to_value(&self) -> Value {
+        let n = |x: &usize| Value::Num(x.to_string());
+        let b = |x: &bool| Value::Bool(*x);
+        let (tag, body) = match self {
+            LayerSpec::Conv { out_channels, kernel, stride, padding, groups, batch_norm, relu } => (
+                "Conv",
+                Value::object([
+                    ("out_channels", n(out_channels)),
+                    ("kernel", n(kernel)),
+                    ("stride", n(stride)),
+                    ("padding", n(padding)),
+                    ("groups", n(groups)),
+                    ("batch_norm", b(batch_norm)),
+                    ("relu", b(relu)),
+                ]),
+            ),
+            LayerSpec::QuadraticConv {
+                neuron,
+                out_channels,
+                kernel,
+                stride,
+                padding,
+                groups,
+                batch_norm,
+                relu,
+            } => (
+                "QuadraticConv",
+                Value::object([
+                    ("neuron", neuron.to_value()),
+                    ("out_channels", n(out_channels)),
+                    ("kernel", n(kernel)),
+                    ("stride", n(stride)),
+                    ("padding", n(padding)),
+                    ("groups", n(groups)),
+                    ("batch_norm", b(batch_norm)),
+                    ("relu", b(relu)),
+                ]),
+            ),
+            LayerSpec::MaxPool { kernel } => ("MaxPool", Value::object([("kernel", n(kernel))])),
+            LayerSpec::AvgPool { kernel } => ("AvgPool", Value::object([("kernel", n(kernel))])),
+            LayerSpec::GlobalAvgPool => return Value::Str("GlobalAvgPool".into()),
+            LayerSpec::Flatten => return Value::Str("Flatten".into()),
+            LayerSpec::Linear { out_features, relu } => {
+                ("Linear", Value::object([("out_features", n(out_features)), ("relu", b(relu))]))
+            }
+            LayerSpec::QuadraticLinear { neuron, out_features } => (
+                "QuadraticLinear",
+                Value::object([("neuron", neuron.to_value()), ("out_features", n(out_features))]),
+            ),
+            LayerSpec::Dropout { p } => {
+                ("Dropout", Value::object([("p", Value::f32(*p).expect("dropout probability is finite"))]))
+            }
+            LayerSpec::Residual { body, projection, final_relu } => (
+                "Residual",
+                Value::object([
+                    ("body", Value::Arr(body.iter().map(LayerSpec::to_value).collect())),
+                    ("projection", b(projection)),
+                    ("final_relu", b(final_relu)),
+                ]),
+            ),
+        };
+        Value::object([(tag, body)])
+    }
+
+    fn from_value(v: &Value) -> Result<Self, String> {
+        if let Value::Str(tag) = v {
+            return match tag.as_str() {
+                "GlobalAvgPool" => Ok(LayerSpec::GlobalAvgPool),
+                "Flatten" => Ok(LayerSpec::Flatten),
+                other => Err(format!("unknown layer `{other}`")),
+            };
+        }
+        let [(tag, body)] = v.as_obj()? else {
+            return Err("expected a layer: an object with one variant name as its key".to_string());
+        };
+        let n = |key| body.read(key, Value::as_usize);
+        let b = |key| body.read(key, Value::as_bool);
+        let neuron = || body.read("neuron", NeuronType::from_value);
+        let spec = || -> Result<LayerSpec, String> {
+            Ok(match tag.as_str() {
+                "Conv" => LayerSpec::Conv {
+                    out_channels: n("out_channels")?,
+                    kernel: n("kernel")?,
+                    stride: n("stride")?,
+                    padding: n("padding")?,
+                    groups: n("groups")?,
+                    batch_norm: b("batch_norm")?,
+                    relu: b("relu")?,
+                },
+                "QuadraticConv" => LayerSpec::QuadraticConv {
+                    neuron: neuron()?,
+                    out_channels: n("out_channels")?,
+                    kernel: n("kernel")?,
+                    stride: n("stride")?,
+                    padding: n("padding")?,
+                    groups: n("groups")?,
+                    batch_norm: b("batch_norm")?,
+                    relu: b("relu")?,
+                },
+                "MaxPool" => LayerSpec::MaxPool { kernel: n("kernel")? },
+                "AvgPool" => LayerSpec::AvgPool { kernel: n("kernel")? },
+                "Linear" => LayerSpec::Linear { out_features: n("out_features")?, relu: b("relu")? },
+                "QuadraticLinear" => {
+                    LayerSpec::QuadraticLinear { neuron: neuron()?, out_features: n("out_features")? }
+                }
+                "Dropout" => {
+                    let p = body.read("p", Value::as_f32)?;
+                    if !(0.0..1.0).contains(&p) {
+                        return Err(format!("`p`: a drop probability must lie in [0, 1), found {p}"));
+                    }
+                    LayerSpec::Dropout { p }
+                }
+                "Residual" => LayerSpec::Residual {
+                    body: body.read("body", layers_from_value)?,
+                    projection: b("projection")?,
+                    final_relu: b("final_relu")?,
+                },
+                other => return Err(format!("unknown layer `{other}`")),
+            })
+        };
+        spec().map_err(|e| format!("`{tag}`: {e}"))
+    }
+}
+
+fn layers_from_value(v: &Value) -> Result<Vec<LayerSpec>, String> {
+    v.as_arr()?.iter().map(LayerSpec::from_value).collect()
 }
 
 /// A complete model-structure configuration ("configuration file").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Model name used in reports and file names.
     pub name: String,
@@ -171,13 +307,33 @@ impl ModelConfig {
     }
 
     /// Serialise to pretty JSON.
+    ///
+    /// # Panics
+    ///
+    /// If a `Dropout` probability is NaN or infinite, which
+    /// [`build_model`] would refuse as well.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("ModelConfig serialises")
+        Value::object([
+            ("name", Value::Str(self.name.clone())),
+            ("input_channels", Value::Num(self.input_channels.to_string())),
+            ("image_size", Value::Num(self.image_size.to_string())),
+            ("num_classes", Value::Num(self.num_classes.to_string())),
+            ("layers", Value::Arr(self.layers.iter().map(LayerSpec::to_value).collect())),
+        ])
+        .to_text(true)
     }
 
-    /// Parse from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+    /// Parse from JSON, rejecting sizes that are not integers in `usize`
+    /// range and drop probabilities outside `[0, 1)`.
+    pub fn from_json(json: &str) -> Result<Self, String> {
+        let doc = json::parse(json)?;
+        Ok(ModelConfig {
+            name: doc.read("name", Value::as_str)?.to_string(),
+            input_channels: doc.read("input_channels", Value::as_usize)?,
+            image_size: doc.read("image_size", Value::as_usize)?,
+            num_classes: doc.read("num_classes", Value::as_usize)?,
+            layers: doc.read("layers", layers_from_value)?,
+        })
     }
 
     /// Write the configuration file to disk.
@@ -511,6 +667,168 @@ mod tests {
         assert_eq!(back, cfg);
         assert!(json.contains("tiny-cnn"));
         assert!(ModelConfig::from_json("{not json").is_err());
+        assert!(ModelConfig::from_json(&format!("{json} {{}}")).is_err(), "trailing input");
+
+        // Sizes must be integers in `usize` range, never coerced; a drop
+        // probability outside [0, 1) is refused here, not by a panic in
+        // `build_model`.
+        let field = |old: &str, new: &str| ModelConfig::from_json(&json.replace(old, new));
+        for bad in ["-3.7", "2.9", "-1", "4.0", "1e30", "18446744073709551616", "\"4\"", "null"] {
+            let err = field("\"out_features\": 4", &format!("\"out_features\": {bad}")).unwrap_err();
+            assert!(
+                err.starts_with("`layers`: `Linear`: `out_features`: expected an unsigned integer"),
+                "{err}"
+            );
+        }
+        assert!(field("\"kernel\": 2", "\"kernel\": -2").unwrap_err().contains("`MaxPool`: `kernel`"));
+        assert!(field("\"image_size\": 8", "\"image_size\": 8.5").unwrap_err().starts_with("`image_size`"));
+        assert!(field("\"Ours\"", "\"T5\"").unwrap_err().contains("unknown neuron type `T5`"));
+        let dropout = |p: &str| {
+            field("\"GlobalAvgPool\",", &format!("{{\"Dropout\": {{\"p\": {p}}}}}, \"GlobalAvgPool\","))
+        };
+        let with_dropout = dropout("0.1").unwrap();
+        assert_eq!(with_dropout.layers[3], LayerSpec::Dropout { p: 0.1 });
+        assert_eq!(ModelConfig::from_json(&with_dropout.to_json()).unwrap(), with_dropout);
+        for bad in ["1", "1.5", "-0.1", "1e39", "null"] {
+            assert!(dropout(bad).unwrap_err().starts_with("`layers`: `Dropout`: `p`"), "{bad}");
+        }
+    }
+
+    /// Written by `to_json` before the workspace had its own JSON module: all
+    /// eleven layer kinds, a nested residual and all eight neuron types.
+    const EARLIER_CONFIG: &str = r#"{
+  "name": "compat",
+  "input_channels": 3,
+  "image_size": 8,
+  "num_classes": 2,
+  "layers": [
+    {
+      "Residual": {
+        "body": [
+          {
+            "Residual": {
+              "body": [
+                {
+                  "Conv": {
+                    "out_channels": 4,
+                    "kernel": 3,
+                    "stride": 1,
+                    "padding": 1,
+                    "groups": 1,
+                    "batch_norm": true,
+                    "relu": true
+                  }
+                }
+              ],
+              "projection": true,
+              "final_relu": false
+            }
+          }
+        ],
+        "projection": false,
+        "final_relu": true
+      }
+    },
+    {
+      "QuadraticConv": {
+        "neuron": "T1",
+        "out_channels": 4,
+        "kernel": 3,
+        "stride": 1,
+        "padding": 1,
+        "groups": 1,
+        "batch_norm": true,
+        "relu": true
+      }
+    },
+    {
+      "MaxPool": {
+        "kernel": 2
+      }
+    },
+    {
+      "AvgPool": {
+        "kernel": 2
+      }
+    },
+    "GlobalAvgPool",
+    "Flatten",
+    {
+      "Linear": {
+        "out_features": 4,
+        "relu": true
+      }
+    },
+    {
+      "Dropout": {
+        "p": 0.25
+      }
+    },
+    {
+      "QuadraticLinear": {
+        "neuron": "T2",
+        "out_features": 2
+      }
+    },
+    {
+      "QuadraticLinear": {
+        "neuron": "T3",
+        "out_features": 2
+      }
+    },
+    {
+      "QuadraticLinear": {
+        "neuron": "T4",
+        "out_features": 2
+      }
+    },
+    {
+      "QuadraticLinear": {
+        "neuron": "T1And2",
+        "out_features": 2
+      }
+    },
+    {
+      "QuadraticLinear": {
+        "neuron": "T2And4",
+        "out_features": 2
+      }
+    },
+    {
+      "QuadraticLinear": {
+        "neuron": "T4Identity",
+        "out_features": 2
+      }
+    },
+    {
+      "QuadraticLinear": {
+        "neuron": "Ours",
+        "out_features": 2
+      }
+    }
+  ]
+}"#;
+
+    #[test]
+    fn earlier_config_text_reads_and_rewrites_unchanged() {
+        let inner =
+            LayerSpec::Residual { body: vec![LayerSpec::conv3x3(4)], projection: true, final_relu: false };
+        let mut layers = vec![
+            LayerSpec::Residual { body: vec![inner], projection: false, final_relu: true },
+            LayerSpec::qconv3x3(NeuronType::T1, 4),
+            LayerSpec::MaxPool { kernel: 2 },
+            LayerSpec::AvgPool { kernel: 2 },
+            LayerSpec::GlobalAvgPool,
+            LayerSpec::Flatten,
+            LayerSpec::Linear { out_features: 4, relu: true },
+            LayerSpec::Dropout { p: 0.25 },
+        ];
+        layers.extend(
+            NeuronType::ALL[1..].iter().map(|&neuron| LayerSpec::QuadraticLinear { neuron, out_features: 2 }),
+        );
+        let expected = ModelConfig::new("compat", 3, 8, 2, layers);
+        assert_eq!(ModelConfig::from_json(EARLIER_CONFIG), Ok(expected.clone()));
+        assert_eq!(expected.to_json(), EARLIER_CONFIG);
     }
 
     #[test]

@@ -14,10 +14,8 @@
 //! layer in this crate. The memory profiler ([`crate::profiler`]) measures the
 //! difference, reproducing Fig. 8 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// How a quadratic layer balances activation caching against recomputation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackpropMode {
     /// Default auto-differentiation behaviour: cache the input and every
     /// intermediate branch activation produced during forward.
@@ -59,14 +57,5 @@ mod tests {
         assert!(BackpropMode::Default.label().contains("default"));
         assert!(BackpropMode::Hybrid.label().contains("hybrid"));
         assert_eq!(format!("{}", BackpropMode::Hybrid), BackpropMode::Hybrid.label());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        for m in [BackpropMode::Default, BackpropMode::Hybrid] {
-            let s = serde_json::to_string(&m).unwrap();
-            let back: BackpropMode = serde_json::from_str(&s).unwrap();
-            assert_eq!(back, m);
-        }
     }
 }

@@ -36,12 +36,12 @@
 //!   [`MemoryProfiler::estimate_from_config`](crate::MemoryProfiler::estimate_from_config).
 
 use crate::hybrid_bp::BackpropMode;
+use quadra_nn::json::Value;
 use quadra_nn::Param;
 use quadra_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// The quadratic neuron design taxonomy of Table 1 in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NeuronType {
     /// `f(X) = Xᵀ·Wa·X + Wb·X` — full-rank bilinear form (Cheung & Leung 1991).
     T1,
@@ -191,6 +191,21 @@ impl NeuronType {
 impl std::fmt::Display for NeuronType {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.name())
+    }
+}
+
+// In configuration files a neuron type is its variant name, e.g. "T4Identity".
+impl NeuronType {
+    pub(crate) fn to_value(self) -> Value {
+        Value::Str(format!("{self:?}"))
+    }
+
+    pub(crate) fn from_value(v: &Value) -> Result<Self, String> {
+        let name = v.as_str()?;
+        NeuronType::ALL
+            .into_iter()
+            .find(|t| format!("{t:?}") == name)
+            .ok_or_else(|| format!("unknown neuron type `{name}`"))
     }
 }
 
@@ -650,9 +665,11 @@ mod tests {
     #[test]
     fn neuron_type_serde_roundtrip() {
         for t in NeuronType::ALL {
-            let json = serde_json::to_string(&t).unwrap();
-            let back: NeuronType = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, t);
+            let text = t.to_value().to_text(false);
+            assert_eq!(text, format!("\"{t:?}\""));
+            assert_eq!(NeuronType::from_value(&quadra_nn::json::parse(&text).unwrap()), Ok(t));
         }
+        assert!(NeuronType::from_value(&Value::Str("T5".into())).unwrap_err().contains("`T5`"));
+        assert!(NeuronType::from_value(&Value::Null).is_err());
     }
 }

@@ -5,15 +5,24 @@
 //! pre-trained on classification; this module provides the mechanism for that
 //! workflow — extract a state dict from one model, persist it, and load it into
 //! another model with the same architecture.
+//!
+//! The file is one compact [`json`](crate::json) object,
+//! `{"params":{KEY:{"shape":[..],"data":[..]},..},"buffers":{..}}`, keyed as
+//! [`StateDict`] describes. Each value is written as the shortest decimal that
+//! parses back to the same `f32` bits and is read without passing through
+//! `f64`, so a round trip restores every weight bitwise. JSON has no NaN or
+//! infinity: writing a checkpoint that holds one fails and names the entry. A
+//! missing `"buffers"` key (checkpoints written before buffers were persisted)
+//! reads as no buffers.
 
+use crate::json::{self, Value};
 use crate::layer::Layer;
 use quadra_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
 
 /// A serialisable snapshot of one parameter tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamState {
     /// Tensor shape.
     pub shape: Vec<usize>,
@@ -21,11 +30,31 @@ pub struct ParamState {
     pub data: Vec<f32>,
 }
 
+impl ParamState {
+    fn to_value(&self, key: &str) -> Result<Value, String> {
+        let data = self.data.iter().map(|&x| {
+            Value::f32(x)
+                .ok_or_else(|| format!("checkpoint entry '{key}' holds {x}, which JSON cannot represent"))
+        });
+        Ok(Value::object([
+            ("shape", Value::Arr(self.shape.iter().map(|n| Value::Num(n.to_string())).collect())),
+            ("data", Value::Arr(data.collect::<Result<_, _>>()?)),
+        ]))
+    }
+
+    fn from_value(v: &Value) -> Result<Self, String> {
+        Ok(ParamState {
+            shape: v.read("shape", |s| s.as_arr()?.iter().map(Value::as_usize).collect())?,
+            data: v.read("data", |d| d.as_arr()?.iter().map(Value::as_f32).collect())?,
+        })
+    }
+}
+
 /// A named collection of parameter snapshots.
 ///
 /// Keys are `"{index:04}:{param_name}"`, which makes the ordering explicit and
 /// detects architecture mismatches on load.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StateDict {
     /// Parameter snapshots keyed by position and name.
     pub params: BTreeMap<String, ParamState>,
@@ -35,20 +64,21 @@ pub struct StateDict {
     pub buffers: BTreeMap<String, ParamState>,
 }
 
-// Hand-written (the vendored derive has no `#[serde(default)]`): checkpoints
-// written before buffers were persisted lack the "buffers" key and must keep
-// loading — a buffer-free model accepts them as-is, and a buffer-bearing
-// model rejects them in `load_into` with the count-mismatch diagnostic.
-impl Deserialize for StateDict {
-    fn from_value(v: &serde::Value) -> Result<Self, String> {
-        let obj = v.as_obj().ok_or_else(|| format!("expected object for StateDict, found {}", v.kind()))?;
-        let params = Deserialize::from_value(serde::field(obj, "params")?)?;
-        let buffers = match serde::field(obj, "buffers") {
-            Ok(value) => Deserialize::from_value(value)?,
-            Err(_) => BTreeMap::new(),
-        };
-        Ok(StateDict { params, buffers })
-    }
+fn entries_to_value(entries: &BTreeMap<String, ParamState>) -> Result<Value, String> {
+    entries
+        .iter()
+        .map(|(key, state)| Ok((key.clone(), state.to_value(key)?)))
+        .collect::<Result<_, _>>()
+        .map(Value::Obj)
+}
+
+fn entries_from_value(v: &Value) -> Result<BTreeMap<String, ParamState>, String> {
+    v.as_obj()?
+        .iter()
+        .map(|(key, state)| {
+            Ok((key.clone(), ParamState::from_value(state).map_err(|e| format!("'{key}': {e}"))?))
+        })
+        .collect()
 }
 
 /// Check one checkpoint entry against a model tensor and copy it over.
@@ -147,19 +177,32 @@ impl StateDict {
         Ok(())
     }
 
-    /// Serialise to a JSON string.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("state dict serialises")
+    /// Serialise to a JSON string; fails on a NaN or infinite value, naming
+    /// its entry.
+    pub fn to_json(&self) -> Result<String, String> {
+        let doc = Value::object([
+            ("params", entries_to_value(&self.params)?),
+            ("buffers", entries_to_value(&self.buffers)?),
+        ]);
+        Ok(doc.to_text(false))
     }
 
     /// Parse from a JSON string.
     pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
+        let doc = json::parse(json)?;
+        let params = doc.read("params", entries_from_value)?;
+        let buffers = match doc.get("buffers") {
+            Some(buffers) => entries_from_value(buffers).map_err(|e| format!("`buffers`: {e}"))?,
+            None => BTreeMap::new(),
+        };
+        Ok(StateDict { params, buffers })
     }
 
-    /// Write the checkpoint to disk.
+    /// Write the checkpoint to disk; a value JSON cannot hold is an
+    /// [`InvalidData`](std::io::ErrorKind::InvalidData) error.
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+        let json = self.to_json().map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        std::fs::write(path, json)
     }
 
     /// Read a checkpoint from disk.
@@ -175,6 +218,7 @@ mod tests {
     use crate::activation::Relu;
     use crate::layer::Sequential;
     use crate::linear::Linear;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -209,7 +253,7 @@ mod tests {
     fn json_and_file_roundtrip() {
         let src = model(4);
         let state = StateDict::from_layer(&src);
-        let json = state.to_json();
+        let json = state.to_json().unwrap();
         let back = StateDict::from_json(&json).unwrap();
         assert_eq!(back, state);
         assert!(StateDict::from_json("{bad").is_err());
@@ -219,6 +263,50 @@ mod tests {
         let loaded = StateDict::load(&path).unwrap();
         assert_eq!(loaded, state);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_values_are_refused_by_name() {
+        let mut state = StateDict::default();
+        state.params.insert("0000:w".into(), ParamState { shape: vec![2], data: vec![0.1, 0.2] });
+        state
+            .buffers
+            .insert("0000:running_var".into(), ParamState { shape: vec![2], data: vec![f32::NAN, 0.1] });
+        let err = state.to_json().unwrap_err();
+        assert!(err.contains("'0000:running_var'") && err.contains("NaN"), "{}", err);
+
+        let path = std::env::temp_dir().join("quadralib_ckpt_non_finite.json");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(state.save(&path).unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+        assert!(!path.exists(), "nothing is written");
+
+        state.buffers.clear();
+        state.params.get_mut("0000:w").unwrap().data[1] = f32::NEG_INFINITY;
+        assert!(state.to_json().unwrap_err().contains("'0000:w' holds -inf"));
+
+        // What such a checkpoint used to be written as: `null` in place of NaN.
+        let err =
+            StateDict::from_json(r#"{"params":{"0000:w":{"shape":[2],"data":[null,0.1]}}}"#).unwrap_err();
+        assert!(err.contains("'0000:w'") && err.contains("found null"), "{}", err);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every finite `f32`, including -0.0, subnormals and the extremes,
+        /// comes back from the JSON text with the same bits.
+        #[test]
+        fn finite_values_restore_bitwise(bits in prop::collection::vec(0u32..u32::MAX, 1..48)) {
+            let edges = [-0.0, f32::MAX, f32::MIN, f32::MIN_POSITIVE, f32::from_bits(1), -f32::from_bits(0x007f_ffff)];
+            let data: Vec<f32> = bits.into_iter().map(f32::from_bits).filter(|x| x.is_finite()).chain(edges).collect();
+            let state = StateDict {
+                params: BTreeMap::from([("0000:w".to_string(), ParamState { shape: vec![data.len()], data })]),
+                buffers: BTreeMap::new(),
+            };
+            let back = StateDict::from_json(&state.to_json().unwrap()).unwrap();
+            let bits_of = |s: &StateDict| s.params["0000:w"].data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits_of(&back), bits_of(&state));
+        }
     }
 
     #[test]
@@ -247,7 +335,7 @@ mod tests {
         assert_eq!(state.buffers.len(), 2, "running_mean and running_var must be captured");
         assert_eq!(state.numel(), src.param_count() + 6);
         // JSON round-trip preserves the buffers too.
-        let state = StateDict::from_json(&state.to_json()).unwrap();
+        let state = StateDict::from_json(&state.to_json().unwrap()).unwrap();
         let mut dst = bn_model(2);
         state.load_into(&mut dst).unwrap();
         let got = dst.forward(&x, false);
@@ -265,7 +353,7 @@ mod tests {
         let src = model(8);
         let mut legacy = StateDict::from_layer(&src);
         legacy.buffers.clear();
-        let json = legacy.to_json();
+        let json = legacy.to_json().unwrap();
         let without_buffers = json.replace(",\"buffers\":{}", "").replace("\"buffers\":{},", "");
         assert!(!without_buffers.contains("buffers"), "test must exercise the missing-key path");
         let parsed = StateDict::from_json(&without_buffers).unwrap();

@@ -46,6 +46,7 @@ mod batchnorm;
 mod checkpoint;
 mod conv;
 mod dropout;
+pub mod json;
 mod layer;
 mod linear;
 mod loss;
