@@ -12,7 +12,9 @@
 //! [`LayerSpec`] is externally tagged, `{"Conv": {...}}` for a variant with
 //! fields and `"GlobalAvgPool"` / `"Flatten"` for the two without. A
 //! [`NeuronType`] is its variant name. Sizes must be written as non-negative
-//! integers that fit `usize`; `Dropout.p` is written as the shortest decimal
+//! integers that fit `usize`, and kernels, strides, groups and pool windows
+//! must be at least 1 (a max-pool window at most
+//! [`PoolIndices::MAX_WINDOW`]); `Dropout.p` is written as the shortest decimal
 //! that parses back to the same `f32`, and must lie in `[0, 1)` when read, so
 //! NaN and the infinities are rejected.
 
@@ -24,6 +26,7 @@ use quadra_nn::{
     AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool, Layer, Linear, MaxPool2d, Relu,
     Residual, Sequential,
 };
+use quadra_tensor::PoolIndices;
 use rand::Rng;
 use std::path::Path;
 
@@ -227,31 +230,43 @@ impl LayerSpec {
             return Err("expected a layer: an object with one variant name as its key".to_string());
         };
         let n = |key| body.read(key, Value::as_usize);
+        // Strides, kernels, groups and pool windows divide geometry.
+        let positive = |key| match n(key)? {
+            0 => Err(format!("`{key}`: must be at least 1, found 0")),
+            v => Ok(v),
+        };
         let b = |key| body.read(key, Value::as_bool);
         let neuron = || body.read("neuron", NeuronType::from_value);
         let spec = || -> Result<LayerSpec, String> {
             Ok(match tag.as_str() {
                 "Conv" => LayerSpec::Conv {
                     out_channels: n("out_channels")?,
-                    kernel: n("kernel")?,
-                    stride: n("stride")?,
+                    kernel: positive("kernel")?,
+                    stride: positive("stride")?,
                     padding: n("padding")?,
-                    groups: n("groups")?,
+                    groups: positive("groups")?,
                     batch_norm: b("batch_norm")?,
                     relu: b("relu")?,
                 },
                 "QuadraticConv" => LayerSpec::QuadraticConv {
                     neuron: neuron()?,
                     out_channels: n("out_channels")?,
-                    kernel: n("kernel")?,
-                    stride: n("stride")?,
+                    kernel: positive("kernel")?,
+                    stride: positive("stride")?,
                     padding: n("padding")?,
-                    groups: n("groups")?,
+                    groups: positive("groups")?,
                     batch_norm: b("batch_norm")?,
                     relu: b("relu")?,
                 },
-                "MaxPool" => LayerSpec::MaxPool { kernel: n("kernel")? },
-                "AvgPool" => LayerSpec::AvgPool { kernel: n("kernel")? },
+                "MaxPool" => {
+                    let kernel = positive("kernel")?;
+                    if kernel > PoolIndices::MAX_WINDOW {
+                        let max = PoolIndices::MAX_WINDOW;
+                        return Err(format!("`kernel`: a max-pool window is at most {max}, found {kernel}"));
+                    }
+                    LayerSpec::MaxPool { kernel }
+                }
+                "AvgPool" => LayerSpec::AvgPool { kernel: positive("kernel")? },
                 "Linear" => LayerSpec::Linear { out_features: n("out_features")?, relu: b("relu")? },
                 "QuadraticLinear" => {
                     LayerSpec::QuadraticLinear { neuron: neuron()?, out_features: n("out_features")? }
@@ -324,7 +339,9 @@ impl ModelConfig {
     }
 
     /// Parse from JSON, rejecting sizes that are not integers in `usize`
-    /// range and drop probabilities outside `[0, 1)`.
+    /// range, zero kernels, strides, groups and pool windows, max-pool
+    /// windows above [`PoolIndices::MAX_WINDOW`] and drop probabilities
+    /// outside `[0, 1)`, with an error naming the layer and the field.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let doc = json::parse(json)?;
         Ok(ModelConfig {
@@ -927,5 +944,75 @@ mod tests {
         let y = model.forward(&Tensor::randn(&[2, 1, 4, 4], 0.0, 1.0, &mut rng), true);
         assert_eq!(y.shape(), &[2, 2]);
         assert!(dropout_cfg.is_quadratic());
+    }
+
+    /// The error `from_json` gives for `spec`'s one-layer config, nested in a
+    /// residual body when `nested`, with `"field": good` written as `bad`.
+    fn refused(spec: LayerSpec, nested: bool, field: &str, bad: &str) -> String {
+        let layer = if nested {
+            LayerSpec::Residual { body: vec![spec], projection: true, final_relu: true }
+        } else {
+            spec
+        };
+        let json = ModelConfig::new("one", 4, 8, 2, vec![layer]).to_json();
+        let good = json.find(&format!("\"{field}\": ")).expect("the field is written");
+        let end = good + json[good..].find(['\n', ',']).expect("the value ends");
+        ModelConfig::from_json(&format!("{}\"{field}\": {bad}{}", &json[..good], &json[end..])).unwrap_err()
+    }
+
+    fn conv(quadratic: bool) -> LayerSpec {
+        if quadratic {
+            LayerSpec::qconv3x3(NeuronType::Ours, 4)
+        } else {
+            LayerSpec::conv3x3(4)
+        }
+    }
+
+    #[test]
+    fn zero_stride_is_refused() {
+        let err = refused(conv(false), false, "stride", "0");
+        assert_eq!(err, "`layers`: `Conv`: `stride`: must be at least 1, found 0");
+        let err = refused(conv(true), true, "stride", "0");
+        assert_eq!(
+            err,
+            "`layers`: `Residual`: `body`: `QuadraticConv`: `stride`: must be at least 1, found 0"
+        );
+    }
+
+    #[test]
+    fn zero_kernel_is_refused() {
+        let err = refused(conv(false), true, "kernel", "0");
+        assert_eq!(err, "`layers`: `Residual`: `body`: `Conv`: `kernel`: must be at least 1, found 0");
+        let err = refused(conv(true), false, "kernel", "0");
+        assert_eq!(err, "`layers`: `QuadraticConv`: `kernel`: must be at least 1, found 0");
+    }
+
+    #[test]
+    fn zero_groups_is_refused() {
+        let err = refused(conv(false), false, "groups", "0");
+        assert_eq!(err, "`layers`: `Conv`: `groups`: must be at least 1, found 0");
+        let err = refused(conv(true), false, "groups", "0");
+        assert_eq!(err, "`layers`: `QuadraticConv`: `groups`: must be at least 1, found 0");
+    }
+
+    #[test]
+    fn zero_pool_window_is_refused() {
+        let err = refused(LayerSpec::MaxPool { kernel: 2 }, false, "kernel", "0");
+        assert_eq!(err, "`layers`: `MaxPool`: `kernel`: must be at least 1, found 0");
+        let err = refused(LayerSpec::AvgPool { kernel: 2 }, true, "kernel", "0");
+        assert_eq!(err, "`layers`: `Residual`: `body`: `AvgPool`: `kernel`: must be at least 1, found 0");
+    }
+
+    #[test]
+    fn max_pool_window_above_16_is_refused() {
+        let err = refused(LayerSpec::MaxPool { kernel: 2 }, false, "kernel", "17");
+        assert_eq!(err, "`layers`: `MaxPool`: `kernel`: a max-pool window is at most 16, found 17");
+        // The widest window whose offsets fit a byte loads, and an average
+        // pool, which keeps no offsets, may be wider.
+        let wide = |spec| ModelConfig::new("wide", 1, 16, 1, vec![spec]);
+        for spec in [LayerSpec::MaxPool { kernel: 16 }, LayerSpec::AvgPool { kernel: 17 }] {
+            let cfg = wide(spec);
+            assert_eq!(ModelConfig::from_json(&cfg.to_json()).unwrap(), cfg);
+        }
     }
 }

@@ -218,9 +218,13 @@ impl MemoryProfiler {
     /// `config`, for an arbitrary batch size, **without** materialising the
     /// activations (needed for the batch-512 GPU-scale comparison of Fig. 5).
     ///
-    /// The estimate scales the single-sample activation footprint linearly with
-    /// the batch size and adds parameters, gradients and optional optimizer
-    /// state (one momentum slot per parameter when `sgd_momentum` is true).
+    /// The activation figure is what a default-BP training forward at
+    /// `batch_size` leaves cached, layer by layer, at the size each layer
+    /// stores it in: f32 inputs, branch outputs and normalised activations,
+    /// one inverse deviation per batch-norm channel, one bit per ReLU or
+    /// dropout element and one byte per max-pool output. To it come
+    /// parameters, gradients and optional optimizer state (one momentum slot
+    /// per parameter when `sgd_momentum` is true).
     pub fn estimate_from_config(
         &self,
         config: &crate::config::ModelConfig,
@@ -228,77 +232,61 @@ impl MemoryProfiler {
         sgd_momentum: bool,
     ) -> MemoryReport {
         use crate::config::{advance_geometry, Geometry, LayerSpec};
-        let bytes_of = |geom: Geometry| {
-            if geom.flat || geom.spatial == 0 {
-                geom.channels * 4
-            } else {
-                geom.channels * geom.spatial * geom.spatial * 4
-            }
-        };
-        // Activation cache per layer: what the layer implementations cache for
-        // backward, per sample.
-        fn cached_per_sample(spec: &LayerSpec, geom: Geometry) -> usize {
-            use crate::config::advance_geometry;
-            let in_bytes = if geom.flat || geom.spatial == 0 {
-                geom.channels * 4
-            } else {
-                geom.channels * geom.spatial * geom.spatial * 4
-            };
-            let out_geom = advance_geometry(spec, geom);
-            let out_bytes = if out_geom.flat || out_geom.spatial == 0 {
-                out_geom.channels * 4
-            } else {
-                out_geom.channels * out_geom.spatial * out_geom.spatial * 4
-            };
+        const F32: usize = 4;
+        // Bytes `spec` caches for backward, given its input geometry.
+        fn cached(spec: &LayerSpec, geom: Geometry, batch: usize) -> usize {
+            let out = advance_geometry(spec, geom);
+            let (x, z) = (geom.features() * batch, out.features() * batch);
+            let bits = |elements: usize| elements.div_ceil(8);
+            // Batch-norm keeps x̂ and one inverse deviation per channel.
+            let bn = |on: bool| if on { z * F32 + out.channels * F32 } else { 0 };
+            let relu = |on: bool| if on { bits(z) } else { 0 };
             match spec {
-                // First-order conv / linear cache their input; BN caches x̂; ReLU a mask.
-                LayerSpec::Conv { batch_norm, relu, .. } => {
-                    in_bytes + if *batch_norm { out_bytes } else { 0 } + if *relu { out_bytes } else { 0 }
-                }
-                // A quadratic layer (default BP) caches its input and the
+                // A first-order conv or linear layer keeps its input.
+                LayerSpec::Conv { batch_norm, relu: r, .. } => x * F32 + bn(*batch_norm) + relu(*r),
+                // A quadratic layer (default BP) keeps its input and the
                 // branch outputs its second-order term reads.
-                LayerSpec::QuadraticConv { batch_norm, relu, neuron, .. } => {
-                    in_bytes
-                        + neuron.form().second.arity() * out_bytes
-                        + if *batch_norm { out_bytes } else { 0 }
-                        + if *relu { out_bytes } else { 0 }
+                LayerSpec::QuadraticConv { batch_norm, relu: r, neuron, .. } => {
+                    (x + neuron.form().second.arity() * z) * F32 + bn(*batch_norm) + relu(*r)
                 }
-                LayerSpec::Linear { relu, .. } => in_bytes + if *relu { out_bytes } else { 0 },
-                LayerSpec::QuadraticLinear { neuron, .. } => {
-                    in_bytes + neuron.form().second.arity() * out_bytes
+                LayerSpec::Linear { relu: r, .. } => x * F32 + relu(*r),
+                LayerSpec::QuadraticLinear { neuron, .. } => (x + neuron.form().second.arity() * z) * F32,
+                LayerSpec::MaxPool { .. } => z,
+                LayerSpec::Dropout { p } => {
+                    if *p > 0.0 {
+                        bits(x)
+                    } else {
+                        0
+                    }
                 }
-                LayerSpec::MaxPool { .. } => out_bytes * 2, // usize indices ≈ 8 bytes per output
-                LayerSpec::Dropout { .. } => in_bytes,
-                LayerSpec::Residual { body, .. } => {
+                LayerSpec::Residual { body, projection, final_relu } => {
                     let mut g = geom;
                     let mut total = 0;
                     for s in body {
-                        total += cached_per_sample(s, g);
+                        total += cached(s, g, batch);
                         g = advance_geometry(s, g);
                     }
-                    total + out_bytes // final ReLU mask
+                    // The projection is a 1×1 conv: it keeps the block input.
+                    total + if *projection { x * F32 } else { 0 } + relu(*final_relu)
                 }
-                _ => 0,
+                LayerSpec::AvgPool { .. } | LayerSpec::GlobalAvgPool | LayerSpec::Flatten => 0,
             }
         }
 
-        let mut geom = Geometry { channels: config.input_channels, spatial: config.image_size, flat: false };
-        let mut activation_per_sample = 0usize;
+        let input = Geometry { channels: config.input_channels, spatial: config.image_size, flat: false };
+        let mut geom = input;
+        let mut activation_bytes = 0usize;
         for spec in &config.layers {
-            activation_per_sample += cached_per_sample(spec, geom);
+            activation_bytes += cached(spec, geom, batch_size);
             geom = advance_geometry(spec, geom);
         }
         let params = crate::builder::estimate_param_count(config);
-        let param_bytes = params * 4 * 2; // value + gradient
-        let optimizer_bytes = if sgd_momentum { params * 4 } else { 0 };
-        let input_geom =
-            Geometry { channels: config.input_channels, spatial: config.image_size, flat: false };
         MemoryReport {
-            param_bytes,
-            optimizer_bytes,
-            peak_activation_bytes: activation_per_sample * batch_size,
-            input_bytes: bytes_of(input_geom) * batch_size,
-            output_bytes: config.num_classes * 4 * batch_size,
+            param_bytes: params * F32 * 2, // value + gradient
+            optimizer_bytes: if sgd_momentum { params * F32 } else { 0 },
+            peak_activation_bytes: activation_bytes,
+            input_bytes: input.features() * F32 * batch_size,
+            output_bytes: config.num_classes * F32 * batch_size,
         }
     }
 }
@@ -434,7 +422,14 @@ mod tests {
         let profiler = MemoryProfiler::new();
         let est8 = profiler.estimate_from_config(&cfg, 8, true);
         let est64 = profiler.estimate_from_config(&cfg, 64, true);
-        assert!(est64.peak_activation_bytes == 8 * est8.peak_activation_bytes);
+        // Everything batch-sized scales with the batch; batch-norm's one
+        // inverse deviation per channel (two layers of 8) does not.
+        let est0 = profiler.estimate_from_config(&cfg, 0, true);
+        assert_eq!(est0.peak_activation_bytes, 2 * 8 * 4);
+        assert!(
+            est64.peak_activation_bytes - est0.peak_activation_bytes
+                == 8 * (est8.peak_activation_bytes - est0.peak_activation_bytes)
+        );
         assert_eq!(est8.param_bytes, est64.param_bytes);
         assert!(est8.optimizer_bytes > 0);
         let est_no_mom = profiler.estimate_from_config(&cfg, 8, false);
@@ -464,6 +459,50 @@ mod tests {
             let estimate = MemoryProfiler::new().estimate_from_config(&cfg, batch, false);
             assert_eq!(estimate.peak_activation_bytes, model.cached_bytes(), "{}", cfg.name);
         }
+    }
+
+    #[test]
+    fn estimate_is_the_measured_cache_of_a_mixed_network() {
+        // Every layer kind that caches, with odd sizes so that no mask fills
+        // whole bytes: f32 inputs and branches, batch-norm's x̂ and per-channel
+        // deviations, one bit per ReLU and dropout element, one byte per
+        // max-pool output, and a residual's projection and final ReLU.
+        let conv = |out_channels, stride, batch_norm| LayerSpec::Conv {
+            out_channels,
+            kernel: 3,
+            stride,
+            padding: 1,
+            groups: 1,
+            batch_norm,
+            relu: true,
+        };
+        let qconv = LayerSpec::QuadraticConv {
+            neuron: NeuronType::Ours,
+            out_channels: 6,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+            groups: 1,
+            batch_norm: false,
+            relu: true,
+        };
+        let layers = vec![
+            conv(4, 1, true),
+            qconv,
+            LayerSpec::MaxPool { kernel: 2 },
+            LayerSpec::Residual { body: vec![conv(8, 2, true)], projection: true, final_relu: true },
+            LayerSpec::Flatten,
+            LayerSpec::Dropout { p: 0.25 },
+            LayerSpec::Linear { out_features: 5, relu: true },
+            LayerSpec::Linear { out_features: 2, relu: false },
+        ];
+        let cfg = ModelConfig::new("mixed", 3, 9, 2, layers);
+        let batch = 3;
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut model = build_model(&cfg, &mut rng);
+        let _ = model.forward(&Tensor::randn(&[batch, 3, 9, 9], 0.0, 1.0, &mut rng), true);
+        let estimate = MemoryProfiler::new().estimate_from_config(&cfg, batch, false);
+        assert_eq!(estimate.peak_activation_bytes, model.cached_bytes());
     }
 
     #[test]

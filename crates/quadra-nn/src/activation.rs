@@ -1,12 +1,14 @@
 //! Element-wise activation layers: ReLU, LeakyReLU, Sigmoid, Tanh.
 
 use crate::layer::Layer;
+use crate::mask::BitMask;
 use quadra_tensor::Tensor;
 
-/// Rectified linear unit, `y = max(x, 0)`.
+/// Rectified linear unit, `y = max(x, 0)`. Training keeps one bit per
+/// element, `x > 0`.
 #[derive(Default)]
 pub struct Relu {
-    mask: Option<Tensor>,
+    mask: Option<BitMask>,
 }
 
 impl Relu {
@@ -18,13 +20,13 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.mask = train.then(|| x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
+        self.mask = train.then(|| BitMask::pack(x.as_slice(), |v| v > 0.0));
         x.relu()
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mask = self.mask.take().expect("backward called before forward");
-        grad_out.mul(&mask).expect("mask shape")
+        mask.apply(grad_out, 1.0, 0.0)
     }
 
     fn cached_bytes(&self) -> usize {
@@ -41,9 +43,10 @@ impl Layer for Relu {
 }
 
 /// Leaky rectified linear unit, `y = x` for `x >= 0` else `slope * x`.
+/// Training keeps one bit per element, `x >= 0`.
 pub struct LeakyRelu {
     slope: f32,
-    mask: Option<Tensor>,
+    mask: Option<BitMask>,
 }
 
 impl LeakyRelu {
@@ -55,14 +58,13 @@ impl LeakyRelu {
 
 impl Layer for LeakyRelu {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let slope = self.slope;
-        self.mask = train.then(|| x.map(|v| if v >= 0.0 { 1.0 } else { slope }));
-        x.leaky_relu(slope)
+        self.mask = train.then(|| BitMask::pack(x.as_slice(), |v| v >= 0.0));
+        x.leaky_relu(self.slope)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mask = self.mask.take().expect("backward called before forward");
-        grad_out.mul(&mask).expect("mask shape")
+        mask.apply(grad_out, 1.0, self.slope)
     }
 
     fn cached_bytes(&self) -> usize {

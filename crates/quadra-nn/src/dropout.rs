@@ -1,16 +1,19 @@
 //! Utility layers: Dropout, Flatten, Identity and nearest-neighbour up-sampling.
 
 use crate::layer::Layer;
+use crate::mask::BitMask;
 use quadra_tensor::Tensor;
+use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Inverted dropout: during training each element is zeroed with probability
 /// `p` and the survivors are scaled by `1/(1-p)`; inference is a no-op.
+/// Training keeps one bit per element: whether it survived.
 pub struct Dropout {
     p: f32,
     rng: StdRng,
-    mask: Option<Tensor>,
+    mask: Option<BitMask>,
 }
 
 impl Dropout {
@@ -24,6 +27,10 @@ impl Dropout {
     pub fn probability(&self) -> f32 {
         self.p
     }
+
+    fn keep(&self) -> f32 {
+        1.0 - self.p
+    }
 }
 
 impl Layer for Dropout {
@@ -32,16 +39,17 @@ impl Layer for Dropout {
             self.mask = None;
             return x.clone();
         }
-        let keep = 1.0 - self.p;
-        let mask = Tensor::bernoulli(x.shape(), keep, &mut self.rng).mul_scalar(1.0 / keep);
-        let y = x.mul(&mask).expect("mask shape");
+        // The draws `Tensor::bernoulli(x.shape(), keep, rng)` makes, in order.
+        let (keep, rng, dist) = (self.keep(), &mut self.rng, Uniform::new(0.0f32, 1.0f32));
+        let mask = BitMask::draw(x.numel(), || dist.sample(rng) < keep);
+        let y = mask.apply(x, 1.0 / keep, 0.0);
         self.mask = Some(mask);
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         match self.mask.take() {
-            Some(mask) => grad_out.mul(&mask).expect("mask shape"),
+            Some(mask) => mask.apply(grad_out, 1.0 / self.keep(), 0.0),
             None => grad_out.clone(),
         }
     }

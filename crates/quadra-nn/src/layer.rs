@@ -1,5 +1,6 @@
 //! The [`Layer`] trait plus the [`Sequential`] and [`Residual`] containers.
 
+use crate::mask::BitMask;
 use crate::param::Param;
 use quadra_tensor::Tensor;
 
@@ -53,7 +54,11 @@ pub trait Layer {
         Vec::new()
     }
 
-    /// Bytes of intermediate activations currently cached for backward.
+    /// Bytes of intermediate activations currently cached for backward, at
+    /// the size they are stored in: f32 tensors at 4 bytes per element,
+    /// bit masks at one bit per element (rounded up to a byte), max-pool
+    /// window offsets at one byte per output. Shapes and other bookkeeping
+    /// are not counted.
     fn cached_bytes(&self) -> usize {
         0
     }
@@ -232,7 +237,7 @@ pub struct Residual {
     body: Sequential,
     shortcut: Option<Box<dyn Layer>>,
     final_relu: bool,
-    relu_mask: Option<Tensor>,
+    relu_mask: Option<BitMask>,
 }
 
 impl Residual {
@@ -266,7 +271,7 @@ impl Layer for Residual {
         };
         sum.expect("residual shapes must match");
         if self.final_relu {
-            self.relu_mask = train.then(|| out.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
+            self.relu_mask = train.then(|| BitMask::pack(out.as_slice(), |v| v > 0.0));
             // The op `Tensor::relu` applies, without a fresh tensor.
             out.map_inplace(|v| v.max(0.0));
         }
@@ -276,7 +281,7 @@ impl Layer for Residual {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let grad = if self.final_relu {
             let mask = self.relu_mask.take().expect("backward called before forward");
-            grad_out.mul(&mask).expect("mask shape")
+            mask.apply(grad_out, 1.0, 0.0)
         } else {
             grad_out.clone()
         };
@@ -321,7 +326,7 @@ impl Layer for Residual {
     }
 
     fn cached_bytes(&self) -> usize {
-        let mut b = self.body.cached_bytes() + self.relu_mask.as_ref().map(|m| m.nbytes()).unwrap_or(0);
+        let mut b = self.body.cached_bytes() + self.relu_mask.as_ref().map(BitMask::nbytes).unwrap_or(0);
         if let Some(s) = &self.shortcut {
             b += s.cached_bytes();
         }

@@ -20,6 +20,22 @@
 //! is what the memory profiler in `quadra-core` aggregates to reproduce the
 //! paper's memory figures.
 //!
+//! A training forward keeps each cache at its information size:
+//!
+//! | Layer | Keeps for backward |
+//! |-------|--------------------|
+//! | [`Conv2d`], [`Linear`] | the input, f32 |
+//! | [`BatchNorm2d`] | `x̂`, f32, and one inverse deviation per channel |
+//! | [`Relu`], [`LeakyRelu`], [`Residual`]'s final ReLU | one bit per element: which side of 0 it was |
+//! | [`Dropout`] | one bit per element: whether it survived |
+//! | [`MaxPool2d`] | one byte per output: where in its window the maximum was |
+//! | [`Sigmoid`], [`Tanh`] | the output, f32 |
+//! | pooling by average, [`Flatten`] | the input shape only |
+//!
+//! A bit mask's backward multiplies each gradient by the factor its bit
+//! selects (`1` or `0`; `1` or the slope; `1/keep` or `0`), so it is bitwise
+//! the product with an f32 mask tensor, `-0.0` and NaN included.
+//!
 //! ## Example
 //!
 //! ```
@@ -50,6 +66,7 @@ pub mod json;
 mod layer;
 mod linear;
 mod loss;
+mod mask;
 mod metrics;
 mod optim;
 mod param;

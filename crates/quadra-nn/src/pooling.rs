@@ -3,7 +3,8 @@
 use crate::layer::Layer;
 use quadra_tensor::{PoolIndices, PoolParams, Tensor};
 
-/// Max pooling over non-overlapping (or strided) square windows.
+/// Max pooling over non-overlapping (or strided) square windows. Training
+/// keeps one byte per output: where in its window the maximum was.
 pub struct MaxPool2d {
     params: PoolParams,
     indices: Option<PoolIndices>,
@@ -34,7 +35,7 @@ impl Layer for MaxPool2d {
     }
 
     fn cached_bytes(&self) -> usize {
-        self.indices.as_ref().map(|i| i.argmax.len() * std::mem::size_of::<usize>()).unwrap_or(0)
+        self.indices.as_ref().map(PoolIndices::nbytes).unwrap_or(0)
     }
 
     fn clear_cache(&mut self) {
