@@ -18,7 +18,7 @@
 //!   estimate — the client's cue to slow its open loop.
 //! * **Read pausing**: once a connection's outbound buffer crosses
 //!   [`GatewayConfig::write_high_water`], the loop drops the socket's
-//!   readable interest (on epoll: `EPOLLIN` unregistered). The client's
+//!   readable interest (`EPOLLIN` unregistered). The client's
 //!   submissions then pile up in kernel buffers and eventually block its own
 //!   writes — flow control without gateway memory growth. Reads resume at
 //!   [`GatewayConfig::write_low_water`]; the gap is flap hysteresis.
@@ -41,11 +41,12 @@ use crate::conn::{ConnError, Connection};
 use crate::frame::{
     error_frame, BackpressureFrame, ErrorFrame, Frame, FrameError, ResponseFrame, PROTOCOL_ERROR_CODE,
 };
-use crate::sys::{self, Event, Poller, Waker};
+use crate::sys::{Event, Poller, Waker};
 use quadra_serve::{CompletionQueue, Request, RouterClient, ServeError};
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpListener;
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -108,9 +109,9 @@ pub(crate) fn run(
     stop: Arc<AtomicBool>,
     waker: Arc<Waker>,
 ) -> io::Result<()> {
-    let lfd = sys::listener_fd(&listener);
+    let lfd = listener.as_raw_fd();
     poller.register(lfd, TOKEN_LISTENER, true, false)?;
-    poller.register(waker.read_fd(), TOKEN_WAKER, true, false)?;
+    poller.register(waker.fd(), TOKEN_WAKER, true, false)?;
 
     let wake = Arc::clone(&waker);
     let mut engine = Engine {
@@ -197,7 +198,7 @@ fn accept_ready(
                 }
                 // Latency over throughput: frames are already coalesced.
                 let _ = stream.set_nodelay(true);
-                let fd = sys::stream_fd(&stream);
+                let fd = stream.as_raw_fd();
                 let token = *next_token;
                 *next_token += 1;
                 if poller.register(fd, token, true, false).is_err() {

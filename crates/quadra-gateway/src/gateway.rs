@@ -46,9 +46,8 @@ impl Gateway {
     /// loop — `gateway-loop`, the only thread a gateway owns. The router's
     /// workers push each completion to it and wake it; nothing polls.
     ///
-    /// Fails fast on invalid config, bind errors, or unsupported platforms
-    /// (non-Unix targets have no readiness syscalls without external
-    /// crates).
+    /// Fails fast on invalid config, bind errors, or when the OS refuses an
+    /// epoll instance or eventfd.
     pub fn start(config: GatewayConfig, router: Router) -> io::Result<Gateway> {
         config.validate().map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
         let listener = TcpListener::bind(&config.listen)?;

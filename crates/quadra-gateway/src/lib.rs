@@ -1,12 +1,11 @@
 //! Event-driven TCP front-end for the `quadra-serve` inference engine.
 //!
 //! `quadra-serve` batches, fair-shares, and sheds load — in process. This
-//! crate puts it on the network: a dependency-free epoll event loop (with a
-//! portable `poll(2)` fallback) multiplexes thousands of non-blocking
-//! connections over a compact length-prefixed binary protocol, mapping each
-//! request frame 1:1 onto [`quadra_serve::Request`] /
-//! [`quadra_serve::RouterClient::send_to`] and streaming
-//! [`quadra_serve::InferResponse`]s (or typed errors) back.
+//! crate puts it on the network: a dependency-free epoll event loop
+//! multiplexes thousands of non-blocking connections over a compact
+//! length-prefixed binary protocol, mapping each request frame 1:1 onto
+//! [`quadra_serve::Request`] / [`quadra_serve::RouterClient::send_to`] and
+//! streaming [`quadra_serve::InferResponse`]s (or typed errors) back.
 //!
 //! Architecture — one thread of its own:
 //!
@@ -14,7 +13,7 @@
 //!   dispatch, codec, connection lifecycle, backpressure. Never blocks on
 //!   inference and never polls for a result: the engine thread that settles
 //!   a request pushes it onto the loop's [`quadra_serve::CompletionQueue`]
-//!   and wakes the loop through an eventfd/self-pipe.
+//!   and wakes the loop through an eventfd.
 //! * The engine's own worker threads, owned by the [`quadra_serve::Router`]
 //!   the gateway serves.
 //!
@@ -25,6 +24,9 @@
 //! memory. Shutdown is a graceful drain with a deadline; see
 //! [`Gateway::shutdown`] for the ordering contract with
 //! [`quadra_serve::Router::shutdown`].
+//!
+//! The crate builds on 64-bit Linux only: the event loop calls `epoll` and
+//! `eventfd` directly.
 //!
 //! ```no_run
 //! use quadra_gateway::{Gateway, GatewayClient, GatewayConfig, Reply};
@@ -45,6 +47,9 @@
 //! ```
 
 #![warn(missing_docs)]
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+compile_error!("quadra-gateway requires 64-bit Linux: its event loop calls epoll and eventfd directly");
 
 mod client;
 mod config;
